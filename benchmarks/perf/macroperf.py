@@ -77,10 +77,11 @@ def run_sweep(ranks: tuple[int, ...], workers: int,
               cache: str | None) -> list[dict]:
     runner = Runner(workers=workers, cache=cache, out=print)
     results = runner.run(sweep_specs(ranks))
-    failed = [r for r in results if not r.ok]
+    failed = [r for r in results if not r.ok or r.payload.get("error")]
     if failed:
         for r in failed:
-            print(f"FAIL: {r.spec.display}: {r.error}")
+            print(f"FAIL: {r.spec.display}: "
+                  f"{r.error or r.payload['error']}")
         raise SystemExit(1)
     points = []
     for r in results:

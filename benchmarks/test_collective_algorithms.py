@@ -11,10 +11,7 @@ from conftest import run_once
 
 from repro.bench.report import format_table
 from repro.cluster import MPIWorld
-from repro.mpi.algorithms import (
-    ALLREDUCE_ALGORITHMS,
-    BCAST_ALGORITHMS,
-)
+from repro.mpi import coll
 from repro.mpi.reduce_ops import SUM
 from repro.sim.coroutines import now
 from tests.helpers import linear_cluster
@@ -43,7 +40,9 @@ def test_bcast_algorithms(benchmark):
         rows = []
         for network in ("sisci", "tcp"):
             timings = {}
-            for name, algorithm in BCAST_ALGORITHMS.items():
+            for name in ("linear", "binomial"):
+                algorithm = coll.get("bcast", name).fn
+
                 def body(comm, algorithm=algorithm):
                     obj = b"\x00" if comm.rank == 0 else None
                     yield from algorithm(comm, obj, 0)
@@ -71,7 +70,9 @@ def test_allreduce_algorithms(benchmark):
         rows = []
         for network in ("sisci", "tcp"):
             timings = {}
-            for name, algorithm in ALLREDUCE_ALGORITHMS.items():
+            for name in ("reduce_bcast", "recursive_doubling"):
+                algorithm = coll.get("allreduce", name).fn
+
                 def body(comm, algorithm=algorithm):
                     yield from algorithm(comm, comm.rank, SUM)
                 timings[name] = _time_collective(network, body)

@@ -39,6 +39,7 @@ def main() -> None:
                 "cfd_halo", seed=SEED,
                 params={**SCALE, "topology": topology, "network": network},
                 check=True, instrumentation=True)
+            assert outcome.ok, outcome.error
             assert not outcome.violations, outcome.violations
             rdma = outcome.metrics.get("rdma.writes", 0)
             print(f"  {topology:5s} on {network:5s}: "
@@ -54,6 +55,7 @@ def main() -> None:
     # exchange is a pure function of the configuration.
     first = workloads.run("cfd_halo", seed=3, params=SCALE)
     again = workloads.run("cfd_halo", seed=3, params=SCALE)
+    assert first.ok and again.ok, first.error or again.error
     assert first.digest == again.digest
     print(f"deterministic: seed 3 reproduces digest {first.digest[:16]}…")
 

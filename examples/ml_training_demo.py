@@ -43,6 +43,7 @@ def main() -> None:
         outcome = workloads.run("ml_training", seed=SEED,
                                 params={**SCALE, **overrides},
                                 check=True, instrumentation=True)
+        assert outcome.ok, outcome.error
         assert not outcome.violations, outcome.violations
         outcomes.append((label, outcome))
         packets = outcome.metrics.get("chmad.packets", 0)

@@ -13,7 +13,8 @@ warmup repetitions, so the steady-state cost is what gets reported —
 matching how these algorithms amortize in applications.
 
 ``python -m repro`` reaches this through the ``coll_bench`` runner
-executor (:mod:`repro.runner.jobs`); ``benchmarks/perf/collperf.py``
+executor (:mod:`repro.workloads.executors`);
+``benchmarks/perf/collperf.py``
 sweeps it and maintains ``BENCH_collectives.json``.
 """
 

@@ -29,10 +29,9 @@ from repro.bench.sweeps import (
     BANDWIDTH_SWEEP_SIZES,
     LATENCY_SWEEP_SIZES,
     TABLE_BANDWIDTH_SIZE,
-    TABLE_LATENCY_SIZES,
 )
 from repro.runner import JobSpec, Runner
-from repro.runner.jobs import pingpong_result
+from repro.workloads.executors import pingpong_result
 
 #: Paper Table 1 values (raw Madeleine).
 TABLE1_PAPER = {

@@ -69,9 +69,9 @@ def custom_pingpong(config, size: int, ranks: tuple[int, int] = (0, 1),
                     label: str = "custom") -> PingPongResult:
     """Ping-pong between two ranks of an arbitrary cluster config.
 
-    Used by the ablation and forwarding benchmarks, which need cluster
-    shapes beyond the two-node default (gateways, overridden protocol
-    parameters, ablation flags).
+    :func:`mpi_pingpong` runs it on the two-node default; the ablation
+    and forwarding benchmarks pass cluster shapes beyond it (gateways,
+    overridden protocol parameters, ablation flags).
     """
     from repro.cluster.session import MPIWorld
     from repro.sim.coroutines import now, sleep
@@ -118,35 +118,11 @@ def mpi_pingpong(size: int, networks: Sequence[str] = ("sisci",),
     contribution) or ``"ch_p4"`` (the MPICH TCP baseline, which ignores
     ``networks`` and always runs over TCP).
     """
-    from repro.cluster.session import MPIWorld
     from repro.cluster.config import two_node_cluster
-    from repro.sim.coroutines import now, sleep
 
     if device == "ch_p4":
         networks = ("tcp",)  # ch_p4 is TCP-only by construction
-    world = MPIWorld(two_node_cluster(networks=networks, device=device,
-                                      active_network=active_network))
-    rounds = warmup + reps
-    payload = b"\x00" * min(size, 1)
-    roundtrips: list[int] = []
-
-    def program(mpi):
-        comm = mpi.comm_world
-        if comm.rank == 0:
-            for rep in range(rounds):
-                yield sleep(rep * PHASE_STEP)
-                start = yield now()
-                yield from comm.send(payload, dest=1, tag=tag, size=size)
-                yield from comm.recv(source=1, tag=tag, size=size)
-                end = yield now()
-                roundtrips.append(end - start)
-        else:
-            for _ in range(rounds):
-                yield from comm.recv(source=0, tag=tag, size=size)
-                yield from comm.send(payload, dest=0, tag=tag, size=size)
-
-    world.run(program)
-    return summarize_roundtrips(
-        label=f"{device}/{active_network or networks[0]}", size=size,
-        roundtrips=roundtrips[warmup:],
-    )
+    config = two_node_cluster(networks=networks, device=device,
+                              active_network=active_network)
+    return custom_pingpong(config, size, reps=reps, warmup=warmup, tag=tag,
+                           label=f"{device}/{active_network or networks[0]}")

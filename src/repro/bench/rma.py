@@ -16,7 +16,8 @@ the same discipline as :mod:`repro.bench.collectives`, so fence overhead
 (count exchange + barrier) is charged identically to every variant.
 
 ``python -m repro`` reaches this through the ``rma_bench`` runner
-executor (:mod:`repro.runner.jobs`); ``benchmarks/perf/rmaperf.py``
+executor (:mod:`repro.workloads.executors`);
+``benchmarks/perf/rmaperf.py``
 sweeps it and maintains ``BENCH_rma.json``.
 """
 

@@ -21,15 +21,16 @@ All draws come from :meth:`Engine.rng` namespaces under
 
     python -m repro fuzz --workload mixed --seed 17
 
-The sweep harness (:func:`run_sweep`) runs the
-:mod:`repro.check.workloads` programs across many fuzz seeds with the
-online checker enabled, and fails a seed when a checker invariant
-trips, the run deadlocks, or the user-visible results differ from the
-other seeds' — printing the one-line repro command above.  Each
-``(workload, seed)`` pair is one :class:`~repro.runner.spec.JobSpec`
-(kind ``fuzz_workload``) executed through the batch
-:class:`~repro.runner.runner.Runner`, so sweeps parallelize across
-worker processes and cache their per-seed results content-addressed.
+The sweep harness (:func:`run_sweep`) runs registered workloads across
+many fuzz seeds with the online checker enabled, and fails a seed when
+a checker invariant trips, the run deadlocks, or the user-visible
+results differ from the other seeds' — printing the one-line repro
+command above.  Each ``(workload, seed)`` pair is one
+:class:`~repro.runner.spec.JobSpec` of the ordinary ``workload`` kind
+(:func:`repro.workloads.run` with a ``fuzz_seed``) executed through the
+batch :class:`~repro.runner.runner.Runner`, so sweeps parallelize
+across worker processes and cache their per-seed results
+content-addressed.
 
 Workloads resolve through the unified registry
 (:mod:`repro.workloads`): anything registered there with the ``fuzz``
@@ -41,11 +42,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from hashlib import sha256
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ReproError
-from repro.sim.engine import EngineConfig, seed_namespace
+from repro.sim.engine import seed_namespace
 
 _READY_RATE = 0.25
 _SPAWN_JITTER_NS = 2_000
@@ -93,82 +93,11 @@ class ScheduleFuzz:
         return offset
 
 
-def install_fuzz(engine, seed: int, **params) -> ScheduleFuzz:
+def install_fuzz(engine, seed: int) -> ScheduleFuzz:
     """Attach a :class:`ScheduleFuzz` to ``engine`` (before ``run``)."""
-    fuzz = ScheduleFuzz(engine, seed, **params)
+    fuzz = ScheduleFuzz(engine, seed)
     engine.fuzz = fuzz
     return fuzz
-
-
-def trace_digest(records: Iterable) -> str:
-    """Canonical digest of an instrumentation record stream."""
-    digest = sha256()
-    for rec in records:
-        digest.update(repr((rec.time, rec.category,
-                            tuple(sorted(rec.fields.items())))).encode())
-    return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# one workload run
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WorkloadRun:
-    """Outcome of one (workload, fuzz seed) execution."""
-
-    workload: str
-    fuzz_seed: int | None
-    workload_seed: int = 0
-    results: Any = None
-    error: ReproError | None = None
-    digest: str = ""
-    time_ns: int = 0
-    decisions: int = 0
-    violations: tuple = ()
-    trace_records: Sequence = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def repro(self) -> str:
-        cmd = (f"python -m repro fuzz --workload {self.workload} "
-               f"--seed {self.fuzz_seed}")
-        if self.workload_seed:
-            cmd += f" --workload-seed {self.workload_seed}"
-        return cmd
-
-
-def run_workload(name: str, fuzz_seed: int | None, *, workload_seed: int = 0,
-                 check: bool = True, raise_on_violation: bool = True,
-                 fuzz_params: dict | None = None) -> WorkloadRun:
-    """Run one bundled workload under the checker (and optionally the
-    fuzzer); never raises — failures land in ``run.error``."""
-    import repro.workloads as workloads
-    from repro.cluster.session import MPIWorld
-
-    config, program = workloads.get(name).instantiate(workload_seed)
-    world = MPIWorld(config, engine_config=EngineConfig(
-        instrumentation=True, checker=check,
-        checker_raise=raise_on_violation, fuzz_seed=fuzz_seed,
-        fuzz_params=fuzz_params or {}))
-    ins = world.engine.instruments
-    checker = world.engine.checker if check else None
-    run = WorkloadRun(name, fuzz_seed, workload_seed)
-    try:
-        run.results = world.run(program)
-    except ReproError as exc:
-        run.error = exc
-    run.digest = trace_digest(ins.tracer.records)
-    run.trace_records = ins.tracer.records
-    run.time_ns = world.engine.now
-    if world.engine.fuzz is not None:
-        run.decisions = world.engine.fuzz.decisions
-    if checker is not None:
-        run.violations = tuple(checker.violations)
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +114,24 @@ class FuzzFailure:
     artifact: str | None = None
 
 
+def repro_command(workload: str, fuzz_seed: int, workload_seed: int) -> str:
+    """The one-line command that replays one fuzz seed."""
+    cmd = f"python -m repro fuzz --workload {workload} --seed {fuzz_seed}"
+    if workload_seed:
+        cmd += f" --workload-seed {workload_seed}"
+    return cmd
+
+
 def sweep_jobs(workloads: Sequence[str], seeds: Iterable[int], *,
                workload_seed: int = 0) -> list:
-    """One ``fuzz_workload`` :class:`JobSpec` per (workload, fuzz seed)."""
+    """One ``workload`` :class:`JobSpec` per (workload, fuzz seed): the
+    run under the checker, instrumented for its trace digest."""
     from repro.runner import JobSpec
 
     return [
-        JobSpec(kind="fuzz_workload",
-                params={"workload": name, "fuzz_seed": seed,
-                        "workload_seed": workload_seed, "check": True},
+        JobSpec(kind="workload", seed=workload_seed,
+                params={"workload": name, "fuzz_seed": seed, "check": True,
+                        "metrics": True},
                 label=f"fuzz:{name}:seed{seed}")
         for name in workloads for seed in seeds
     ]
@@ -255,29 +193,28 @@ def run_sweep(workloads: Sequence[str], seeds: Iterable[int], *,
 
     failures: list[FuzzFailure] = []
     for name in workloads:
-        baseline: Mapping[str, Any] | None = None
+        baseline: tuple[int, Mapping[str, Any]] | None = None
         for seed in seeds:
             payload = payloads[(name, seed)]
+            repro = repro_command(name, seed, workload_seed)
             failure = None
-            if not payload["ok"]:
-                failure = FuzzFailure(
-                    name, seed, "violation",
-                    f"{payload['error_type']}: {payload['error']}",
-                    payload["repro"])
+            if payload["error"]:
+                failure = FuzzFailure(name, seed, "violation",
+                                      payload["error"], repro)
             elif baseline is None:
-                baseline = payload
-            elif payload["results_repr"] != baseline["results_repr"]:
+                baseline = (seed, payload)
+            elif payload["result_digest"] != baseline[1]["result_digest"]:
                 failure = FuzzFailure(
                     name, seed, "results-diverge",
                     f"user-visible results changed with the schedule "
-                    f"(fuzz seed {seed} vs {baseline['fuzz_seed']}): "
-                    f"{payload['results_repr']} != "
-                    f"{baseline['results_repr']}",
-                    payload["repro"])
+                    f"(fuzz seed {seed} vs {baseline[0]}): result digest "
+                    f"{payload['result_digest'][:12]} != "
+                    f"{baseline[1]['result_digest'][:12]}",
+                    repro)
             if failure is None:
                 out(f"ok   {name} seed={seed} t={payload['time_ns']}ns "
                     f"decisions={payload['decisions']} "
-                    f"digest={payload['digest'][:12]}")
+                    f"digest={payload['trace_digest'][:12]}")
                 continue
             if artifacts_dir:
                 failure.artifact = _write_artifact(artifacts_dir, payload,

@@ -3,7 +3,8 @@
 Subcommands:
 
 ``run``
-    Execute one job (any registered :mod:`repro.runner.jobs` kind) and
+    Execute one job (any kind registered in
+    :mod:`repro.workloads.executors`) and
     print its JSON payload — the smallest unit of work the batch runner
     schedules, exposed for scripting and debugging.  ``--workload NAME``
     is sugar for the ``workload`` kind: it runs any workload in the
@@ -90,7 +91,7 @@ def _parse_param(text: str):
 
 def cmd_run(args) -> int:
     import repro.workloads as workloads
-    from repro.runner.jobs import EXECUTORS
+    from repro.workloads.executors import EXECUTORS
 
     if args.list:
         print("job kinds:")
@@ -138,6 +139,11 @@ def cmd_run(args) -> int:
                "payload": result.payload}, sys.stdout, indent=2,
               sort_keys=True)
     print()
+    # .get: payloads cached before runs reported their error lack it.
+    error = result.payload.get("error") if args.workload else None
+    if error:
+        print(f"workload {args.workload} failed: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -289,9 +289,6 @@ class MPIWorld:
                 and self.engine.instruments.enabled:
             self.engine.instruments.export_chrome_trace(cfg.trace_sink)
 
-    @property
-    def world_size(self) -> int:
-        return self.config.world_size
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<MPIWorld size={self.world_size} device={self.config.device}>"
+        return (f"<MPIWorld size={self.config.world_size} "
+                f"device={self.config.device}>")

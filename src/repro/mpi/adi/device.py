@@ -28,7 +28,7 @@ from repro.mpi.adi.queues import (
     UnexpectedKind,
     UnexpectedQueue,
 )
-from repro.mpi.adi.rhandle import RecvHandle, RndvSync, SendHandle
+from repro.mpi.adi.rhandle import RecvHandle, RndvSync
 from repro.mpi.request import RecvRequest
 from repro.mpi.status import Status
 from repro.sim.coroutines import charge
@@ -334,16 +334,6 @@ class Device:
         destination (ch_mad's per-network ablation) override this.
         """
         return self.eager_threshold
-
-    def send_eager(self, dest_world: int, envelope: Envelope,
-                   data: Any) -> Generator:
-        raise NotImplementedError  # pragma: no cover
-
-    def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
-        raise NotImplementedError  # pragma: no cover
-
-    def send_rndv_ack(self, token: Any, sync_id: int) -> Generator:
-        raise NotImplementedError  # pragma: no cover
 
     def shutdown(self) -> None:
         """Stop polling threads etc. (MPI_Finalize)."""

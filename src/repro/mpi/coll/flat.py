@@ -1,9 +1,8 @@
 """Flat (topology-blind) collective algorithms.
 
 Registers the per-operation defaults from :mod:`repro.mpi.collectives`
-and hosts the classic MPICH algorithm zoo that used to live in
-:mod:`repro.mpi.algorithms` (that module's free functions were removed;
-only the ``*_ALGORITHMS`` name dicts remain there):
+and hosts the classic MPICH algorithm zoo, each variant fetched with
+``coll.get(op, name).fn``:
 
 - broadcast: linear (root sends size-1 messages) vs binomial tree;
 - allreduce: reduce+bcast vs recursive doubling;

@@ -20,7 +20,6 @@ from repro.errors import MPICommError, MPIDatatypeError
 from repro.mpi import coll as _collreg
 from repro.mpi import collectives as _coll
 from repro.mpi import point2point as _p2p
-from repro.mpi.adi.device import clone_payload
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -28,7 +27,7 @@ from repro.mpi.constants import (
     COMM_TYPE_SHARED,
     UNDEFINED,
 )
-from repro.mpi.datatypes import BYTE, Datatype
+from repro.mpi.datatypes import Datatype
 from repro.mpi.group import Group
 from repro.mpi.reduce_ops import SUM, Op
 from repro.mpi.request import RecvRequest, Request, SendRequest
@@ -643,8 +642,9 @@ class _BufferRecvRequest(Request):
 
     def wait(self) -> Generator:
         data, status = yield from _p2p.recv_wait(self.comm, self.inner)
-        yield from self.comm._fill_buffer(self._array, self._count,
-                                          self._datatype, data)
+        if not status.cancelled:  # a cancelled receive leaves the buffer
+            yield from self.comm._fill_buffer(self._array, self._count,
+                                              self._datatype, data)
         return status
 
     def cancel(self) -> bool:

@@ -57,10 +57,6 @@ class Datatype:
         return (self.size == self.extent
                 and bool(np.array_equal(self.byte_offsets, expected)))
 
-    def signature(self) -> tuple:
-        """Type signature: the ordered sequence of basic element kinds."""
-        return (str(self.base_dtype), int(self.byte_offsets.size))
-
     # -- lifecycle -------------------------------------------------------------
 
     def commit(self) -> "Datatype":
@@ -142,9 +138,6 @@ class BasicDatatype(Datatype):
         super().__init__(name, dtype, np.array([0], dtype=np.int64),
                          extent=dtype.itemsize)
         self.committed = True
-
-    def signature(self) -> tuple:
-        return (self.name, 1)
 
 
 BYTE = BasicDatatype("MPI_BYTE", "uint8")

@@ -114,7 +114,6 @@ class ChMadDevice(Device):
         self.rdma_rendezvous = rdma_rendezvous
         self._pending_sends: dict[int, SendHandle] = {}
         self._pollers: list = []
-        self.term_received = 0
         self.packets_relayed = 0
         self.heartbeats_received = 0
         #: Session failure detector; set by :meth:`start_heartbeats` when
@@ -277,7 +276,7 @@ class ChMadDevice(Device):
     def _lane_of(self, header: ChMadHeader) -> int | None:
         """Lane of one outgoing packet, from its envelope's context.
 
-        Control packets without an envelope (SENDOK, TERM) take the
+        Control packets without an envelope (SENDOK, heartbeats) take the
         default rail — they are tiny and order-insensitive.
         """
         if not self.context_lanes:
@@ -552,12 +551,6 @@ class ChMadDevice(Device):
             ChMadHeader(MadPktType.MAD_SENDOK_PKT, send_id=token.send_id,
                         sync_id=sync_id),
             None, 0,
-        )
-
-    def send_term(self, dest_world: int) -> Generator:
-        """MAD_TERM_PKT: program termination notification (MPI_Finalize)."""
-        yield from self._transmit_packet(
-            dest_world, ChMadHeader(MadPktType.MAD_TERM_PKT), None, 0,
         )
 
     def _protocol_towards(self, dest_world: int) -> str:

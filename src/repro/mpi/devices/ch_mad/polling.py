@@ -64,8 +64,6 @@ def dispatch_local(device: "ChMadDevice", header: ChMadHeader,
     elif kind is MadPktType.MAD_RNDV_PKT:
         yield from device.progress.deliver_rndv_data(header.sync_id,
                                                      header.envelope, body)
-    elif kind is MadPktType.MAD_TERM_PKT:
-        device.term_received += 1
     elif kind is MadPktType.MAD_HB_PKT:
         # Liveness was already credited where every delivery is: the
         # process demux (piggybacked detection).  Nothing else to do.

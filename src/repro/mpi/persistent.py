@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import MPIRequestError
 from repro.mpi import point2point as _p2p
-from repro.sim.sync import Flag
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import Communicator
@@ -50,9 +49,6 @@ class PersistentRequest:
             )
         self._active = self._launch()
         self.starts += 1
-
-    def _launch(self):
-        raise NotImplementedError  # pragma: no cover
 
     def wait(self) -> Generator:
         """Complete the current instance; the request becomes inactive

@@ -72,10 +72,6 @@ class GetResult:
         self._ready = True
 
     @property
-    def ready(self) -> bool:
-        return self._ready
-
-    @property
     def data(self) -> bytes:
         if not self._ready:
             raise MPIError("Win.get result read before the closing fence")

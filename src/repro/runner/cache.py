@@ -95,14 +95,6 @@ class ResultCache:
             return 0
         return sum(1 for _ in self.root.glob("??/*.json"))
 
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for entry in self.root.glob("??/*.json"):
-            entry.unlink()
-            removed += 1
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ResultCache {self.root} entries={len(self)} "
                 f"hits={self.hits} misses={self.misses}>")

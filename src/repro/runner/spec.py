@@ -1,8 +1,9 @@
 """Job descriptions and canonical digests for the batch runner.
 
 A :class:`JobSpec` is a *complete, serializable* description of one
-simulation job: the executor kind (see :mod:`repro.runner.jobs`), its
-code-relevant parameters, and the seed.  Two specs that would produce
+simulation job: the executor kind (see
+:mod:`repro.workloads.executors`), its code-relevant parameters, and
+the seed.  Two specs that would produce
 the same simulation produce the same :attr:`JobSpec.digest` — the
 content address under which the result cache files the outcome.  The
 digest deliberately excludes anything cosmetic (the display ``label``),

@@ -32,13 +32,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.check.checker import NULL_CHECKER, Checker
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.metrics import NULL_INSTRUMENTS, Instrumentation
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER
 
 
 def seed_namespace(*parts: Any) -> str:
@@ -57,10 +57,8 @@ def seed_namespace(*parts: Any) -> str:
 class EngineConfig:
     """Everything optional about an engine, in one declarative object.
 
-    Replaces the scattered per-feature enablement calls (the removed
-    ``enable_*`` methods and hand-rolled ``install_fuzz`` wiring) with a
-    single serializable configuration accepted by
-    :class:`Engine` and :class:`~repro.cluster.session.MPIWorld`::
+    One serializable configuration accepted by :class:`Engine` and
+    :class:`~repro.cluster.session.MPIWorld`::
 
         world = MPIWorld(cluster, engine_config=EngineConfig(
             instrumentation=True, checker=True, fuzz_seed=17))
@@ -79,8 +77,6 @@ class EngineConfig:
     checker_raise: bool = True
     #: Install the schedule fuzzer with this seed (None = baseline).
     fuzz_seed: int | None = None
-    #: Extra :class:`~repro.check.fuzz.ScheduleFuzz` parameters.
-    fuzz_params: Mapping[str, Any] = field(default_factory=dict)
     #: Chrome-trace export path, written at MPI_Finalize (implies
     #: ``instrumentation``).
     trace_sink: str | None = None
@@ -155,9 +151,6 @@ class Event:
         if engine is not None:
             engine._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time} seq={self.seq} {state} {self.callback!r}>"
@@ -221,11 +214,7 @@ class Engine:
             self.apply_config(config)
 
     def apply_config(self, config: EngineConfig) -> "Engine":
-        """Install whatever ``config`` asks for; returns ``self``.
-
-        This is the one enablement path — the legacy ``enable_*``
-        methods were removed in its favour.
-        """
+        """Install whatever ``config`` asks for; returns ``self``."""
         self.config = config
         if config.wants_instrumentation:
             install_instrumentation(self)
@@ -233,7 +222,7 @@ class Engine:
             install_checker(self, raise_on_violation=config.checker_raise)
         if config.fuzz_seed is not None:
             from repro.check.fuzz import install_fuzz
-            install_fuzz(self, config.fuzz_seed, **dict(config.fuzz_params))
+            install_fuzz(self, config.fuzz_seed)
         if config.coll_algorithm is not None:
             # Validate against the registry now, so a typo fails the run
             # before any rank starts (lazy import: the registry lives in
@@ -255,35 +244,6 @@ class Engine:
             gen = self._rngs[namespace] = random.Random(
                 seed_namespace(self.seed, namespace))
         return gen
-
-    # -- removed enablement shims -----------------------------------------
-    #
-    # The per-feature enable_* methods predated EngineConfig, spent one
-    # release warning, and are now errors that name their replacement.
-
-    def enable_instrumentation(self) -> Instrumentation:
-        """Removed: use ``EngineConfig(instrumentation=True)`` or
-        :func:`install_instrumentation`."""
-        raise ConfigurationError(
-            "Engine.enable_instrumentation() was removed; pass "
-            "EngineConfig(instrumentation=True) to the Engine/MPIWorld "
-            "constructor (or call repro.sim.engine.install_instrumentation)")
-
-    def enable_checker(self, raise_on_violation: bool = True) -> Checker:
-        """Removed: use ``EngineConfig(checker=True)`` or
-        :func:`install_checker`."""
-        raise ConfigurationError(
-            "Engine.enable_checker() was removed; pass "
-            "EngineConfig(checker=True, checker_raise=...) to the "
-            "Engine/MPIWorld constructor (or call "
-            "repro.sim.engine.install_checker)")
-
-    def enable_tracing(self) -> Tracer:
-        """Removed: pass ``EngineConfig(instrumentation=True)`` and read
-        ``engine.tracer``."""
-        raise ConfigurationError(
-            "Engine.enable_tracing() was removed; pass "
-            "EngineConfig(instrumentation=True) and read engine.tracer")
 
     # -- clock ------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -171,10 +171,6 @@ class MetricsRegistry:
                if kind is None or isinstance(m, kind)]
         out.sort(key=lambda m: (m.name, m.labels))
         return out
-
-    def clear(self) -> None:
-        self._metrics.clear()
-        self._kind_of.clear()
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -69,12 +69,9 @@ class Semaphore:
             else:
                 self.value += 1
 
-    def waiting(self) -> int:
-        """Number of live tasks currently blocked."""
-        return sum(1 for t in self._waiters if not t.finished)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Semaphore {self.name} value={self.value} waiting={self.waiting()}>"
+        waiting = sum(1 for t in self._waiters if not t.finished)
+        return f"<Semaphore {self.name} value={self.value} waiting={waiting}>"
 
 
 class Mutex:

@@ -8,10 +8,6 @@ Importing this package populates both registries:
 - the **job-executor registry** (:mod:`.executors`) with the built-in
   job kinds, including the generic ``workload`` kind that runs any
   registered workload under the batch runner's content-addressed cache.
-
-``repro.check.workloads`` and ``repro.runner.jobs`` are thin re-exports
-of these modules, kept so historical imports, golden digests and
-JobSpec cache keys stay bit-identical.
 """
 
 from repro.workloads.registry import (

@@ -8,17 +8,16 @@ must be pure functions of the spec: the content-addressed cache assumes
 that re-running a spec reproduces its payload bit for bit, which the
 deterministic simulator guarantees.
 
-This module *is* the executor registry (``repro.runner.jobs`` re-exports
-it unchanged, so historical imports and JobSpec digests still hold).
-Built-in kinds:
+This module is the executor registry.  Built-in kinds:
 
 ``workload``
-    One run of any workload in the unified registry
-    (:mod:`repro.workloads.registry`) — ``params`` carry the workload
-    name, ``check``/``metrics`` toggles, and the workload's own
+    One :func:`repro.workloads.run` of any registered workload —
+    ``params`` carry the workload name, the ``check``/``metrics``
+    toggles, an optional ``fuzz_seed``, and the workload's own
     parameter overrides; the spec ``seed`` is the workload seed.  This
-    is what ``python -m repro run --workload`` and the macro-benchmark
-    sweeps schedule.
+    is what ``python -m repro run --workload``, the fuzz sweep and the
+    macro-benchmark sweeps schedule.  A run that raised reports the
+    error in the payload instead of failing the job.
 ``mpi_pingpong``
     Full-stack ping-pong (:func:`repro.bench.pingpong.mpi_pingpong`);
     payload mirrors :class:`~repro.bench.pingpong.PingPongResult`.
@@ -27,13 +26,13 @@ Built-in kinds:
 ``baseline_point``
     One analytic-comparator evaluation (no simulation; cached anyway so
     figure assembly is uniform).
-``fuzz_workload``
-    One ``(workload, fuzz seed)`` run under the online checker — the
-    unit the fuzz sweep parallelizes.
 ``coll_bench``
     One ``(operation, algorithm)`` collective timing on a multirail SMP
     cluster (:func:`repro.bench.collectives.collective_bench`) — the
     unit of the flat/hier/multilane comparison sweep.
+``rma_bench``
+    One one-sided operation timing on an InfiniBand pair
+    (:func:`repro.bench.rma.rma_bench`).
 
 Tests register ad-hoc kinds with :func:`register`; unknown kinds raise
 :class:`~repro.errors.ConfigurationError`.
@@ -81,11 +80,11 @@ def _run_workload_kind(params: dict[str, Any], seed: int) -> dict[str, Any]:
     from repro.workloads import run
 
     name = params.pop("workload")
-    check = bool(params.pop("check", False))
-    metrics = bool(params.pop("metrics", False))
-    outcome = run(name, seed=seed, params=params, check=check,
-                  instrumentation=metrics)
-    return {
+    outcome = run(name, seed=seed, check=bool(params.pop("check", False)),
+                  instrumentation=bool(params.pop("metrics", False)),
+                  fuzz_seed=params.pop("fuzz_seed", None), params=params)
+    error = outcome.error
+    payload = {
         "workload": outcome.workload,
         "seed": outcome.seed,
         "params": outcome.params,
@@ -93,7 +92,18 @@ def _run_workload_kind(params: dict[str, Any], seed: int) -> dict[str, Any]:
         "time_ns": outcome.time_ns,
         "metrics": outcome.metrics,
         "violations": [str(v) for v in outcome.violations],
+        "error": f"{type(error).__name__}: {error}" if error else None,
+        "decisions": outcome.decisions,
+        "trace_digest": outcome.trace_digest,
     }
+    if error is not None:
+        # The failing run's full trace rides along so the fuzz sweep can
+        # write a repro artifact without re-running the seed.
+        payload["trace"] = [
+            f"{rec.time} {rec.category} {sorted(rec.fields.items())}"
+            for rec in outcome.trace_records
+        ]
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -164,38 +174,3 @@ def _run_rma_bench(params: dict[str, Any], seed: int) -> dict[str, Any]:
 
     del seed  # virtual-time benchmark; the engine default seed applies
     return rma_bench(**params)
-
-
-@register("fuzz_workload")
-def _run_fuzz_workload(params: dict[str, Any], seed: int) -> dict[str, Any]:
-    from repro.check.fuzz import run_workload
-
-    del seed  # the fuzz seed is a modelled parameter, not the spec seed
-    fuzz_seed = params.get("fuzz_seed")
-    run = run_workload(
-        params["workload"], fuzz_seed,
-        workload_seed=int(params.get("workload_seed", 0)),
-        check=bool(params.get("check", True)),
-    )
-    payload: dict[str, Any] = {
-        "workload": run.workload,
-        "fuzz_seed": run.fuzz_seed,
-        "workload_seed": run.workload_seed,
-        "ok": run.ok,
-        "error_type": type(run.error).__name__ if run.error else None,
-        "error": str(run.error) if run.error else None,
-        "digest": run.digest,
-        "time_ns": run.time_ns,
-        "decisions": run.decisions,
-        "violations": [str(v) for v in run.violations],
-        "results_repr": repr(run.results),
-        "repro": run.repro,
-    }
-    if run.error is not None:
-        # The failing schedule's full trace rides along so the sweep can
-        # write a repro artifact without re-running the seed.
-        payload["trace"] = [
-            f"{rec.time} {rec.category} {sorted(rec.fields.items())}"
-            for rec in run.trace_records
-        ]
-    return payload

@@ -1,4 +1,4 @@
-"""The micro/protocol workloads (formerly ``repro.check.workloads``).
+"""The micro/protocol workloads: the fuzz sweep's protocol storms.
 
 Each workload builds a cluster configuration plus a rank program whose
 *return value is schedule-independent*: whatever legal interleaving the
@@ -24,15 +24,12 @@ Pitfalls baked into these programs, learned the hard way:
 - the lossy variant reuses the mixed program verbatim on lossy fabrics:
   the reliable transport must make packet loss invisible to results.
 
-The builder bodies are unchanged from their ``check/workloads.py``
-days on purpose: fuzz-seed digests and goldens are bit-identical
-across the move to the unified registry.
+Any edit to a builder body changes that workload's fuzz-seed digests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -45,18 +42,12 @@ from repro.mpi.reduce_ops import MAX, SUM
 
 from repro.workloads.registry import Workload, register
 
-# The flat zoo, fetched from the registry (the historical
-# repro.mpi.algorithms names; that module's free functions are gone).
+# The flat zoo, fetched from the registry.
 _BCAST_ZOO = {name: coll.get("bcast", name).fn
               for name in ("linear", "binomial")}
 _ALLREDUCE_ZOO = {name: coll.get("allreduce", name).fn
                   for name in ("reduce_bcast", "recursive_doubling")}
 _allgather_bruck = coll.get("allgather", "bruck").fn
-
-#: ``build(workload_seed) -> (config, program)``; ``program(env)`` is a
-#: rank generator whose return value must not depend on the schedule.
-Builder = Callable[[int], tuple[ClusterConfig, Callable[[Any], Generator]]]
-
 
 def _nodes(count: int, networks: tuple[str, ...]) -> list[NodeSpec]:
     return [NodeSpec(f"n{i}", networks=networks) for i in range(count)]

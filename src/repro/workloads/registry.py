@@ -48,9 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,6 @@ class Workload:
             resolved[key] = value
         return resolved
 
-    def instantiate(self, seed: int = 0,
-                    params: Mapping[str, Any] | None = None) -> tuple:
-        """Resolve ``params`` and build ``(config, program)``."""
-        return self.build(seed, **self.resolve(params))
-
     def result_digest(self, results: Any) -> str:
         return (self.digest or default_digest)(results)
 
@@ -135,8 +130,10 @@ def names(tag: str | None = None) -> list[str]:
 
 @dataclass
 class WorkloadResult:
-    """Outcome of one :func:`run`: results, digest, virtual time,
-    metrics of interest, and any (non-raised) checker violations."""
+    """Outcome of one :func:`run`: results and their digest, virtual
+    time, metrics of interest, checker violations, and what the fuzz
+    sweep reads — the caught error, the fuzzer's decision count, and
+    the trace digest (plus, on failure, the trace records)."""
 
     workload: str
     seed: int
@@ -146,6 +143,23 @@ class WorkloadResult:
     time_ns: int
     metrics: dict[str, int | float] = field(default_factory=dict)
     violations: tuple = ()
+    error: ReproError | None = None
+    decisions: int = 0
+    trace_digest: str = ""
+    trace_records: Sequence = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def trace_digest(records: Iterable) -> str:
+    """Canonical digest of an instrumentation record stream."""
+    digest = sha256()
+    for rec in records:
+        digest.update(repr((rec.time, rec.category,
+                            tuple(sorted(rec.fields.items())))).encode())
+    return digest.hexdigest()
 
 
 def run(name: str, *, seed: int = 0,
@@ -154,10 +168,17 @@ def run(name: str, *, seed: int = 0,
         instrumentation: bool = False) -> WorkloadResult:
     """Run one registered workload end to end and digest its results.
 
+    A :class:`~repro.errors.ReproError` raised by the run (a checker
+    violation, a deadlock) is caught into ``error``; bad names and
+    parameters still raise.  With ``instrumentation`` the result also
+    carries the workload's metrics of interest and the trace digest
+    (the one the fuzz sweep prints per seed), plus the trace records
+    when the run failed.
+
     The simulator is deterministic, so the returned
     :class:`WorkloadResult` is a pure function of
-    ``(name, seed, params)`` — which is what lets the ``workload`` job
-    kind cache these runs content-addressed.
+    ``(name, seed, params, fuzz_seed)`` — which is what lets the
+    ``workload`` job kind cache these runs content-addressed.
     """
     from repro.cluster.session import MPIWorld
     from repro.sim.engine import EngineConfig
@@ -165,18 +186,27 @@ def run(name: str, *, seed: int = 0,
     workload = get(name)
     resolved = workload.resolve(params)
     config, program = workload.build(seed, **resolved)
-    wants_metrics = instrumentation and bool(workload.metrics)
     world = MPIWorld(config, engine_config=EngineConfig(
-        instrumentation=wants_metrics, checker=check,
+        instrumentation=instrumentation, checker=check,
         checker_raise=checker_raise, fuzz_seed=fuzz_seed))
-    results = world.run(program)
-    metrics = {}
-    if wants_metrics:
-        registry = world.engine.instruments.metrics
-        metrics = {metric: registry.total(metric)
-                   for metric in workload.metrics}
-    violations = tuple(world.engine.checker.violations) if check else ()
-    return WorkloadResult(
+    results, error = None, None
+    try:
+        results = world.run(program)
+    except ReproError as exc:
+        error = exc
+    engine = world.engine
+    outcome = WorkloadResult(
         workload=name, seed=seed, params=resolved, results=results,
-        digest=workload.result_digest(results), time_ns=world.engine.now,
-        metrics=metrics, violations=violations)
+        digest="" if error else workload.result_digest(results),
+        time_ns=engine.now, error=error,
+        violations=tuple(engine.checker.violations) if check else (),
+        decisions=engine.fuzz.decisions if engine.fuzz else 0)
+    if instrumentation:
+        registry = engine.instruments.metrics
+        outcome.metrics = {metric: registry.total(metric)
+                           for metric in workload.metrics}
+        records = engine.instruments.tracer.records
+        outcome.trace_digest = trace_digest(records)
+        if error is not None:
+            outcome.trace_records = records
+    return outcome

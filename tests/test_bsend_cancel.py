@@ -1,5 +1,6 @@
 """Tests for buffered sends and receive cancellation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MPIError
@@ -96,6 +97,21 @@ class TestCancel:
 
         results = run_ranks(program)
         assert results == [(None, True), (None, True)]
+
+    def test_cancel_pending_buffer_irecv(self):
+        # The uppercase Irecv wraps the receive; cancel reaches it, and
+        # test() reports completion without a payload (like mpi4py).
+        def program(mpi):
+            comm = mpi.comm_world
+            buf = np.full(4, -1.0)
+            req = comm.Irecv(buf, source=1 - comm.rank, tag=9)
+            assert req.cancel() is True
+            status = yield from req.wait()
+            assert req.test() == (True, None)
+            yield from comm.barrier()
+            return status.cancelled, float(buf.sum())
+
+        assert run_ranks(program) == [(True, -4.0), (True, -4.0)]
 
     def test_cancel_after_match_fails(self):
         def program(mpi):

@@ -1,8 +1,7 @@
 """Differential collective tests under the online checker.
 
-Every algorithm variant in the collective registry (plus the legacy
-:mod:`repro.mpi.algorithms` surface) runs on each of the three paper
-networks (SCI, TCP, BIP/Myrinet) and is compared against the flat
+Every algorithm variant in the collective registry runs on each of the
+three paper networks (SCI, TCP, BIP/Myrinet) and is compared against the flat
 default and a pure-Python reference computed outside the simulator.
 The checker is enabled for every run: an algorithm that silently
 violates non-overtaking, the rendezvous handshake or the finalize leak
@@ -18,15 +17,17 @@ import pytest
 
 from repro.cluster import MPIWorld, multirail_smp_cluster
 from repro.mpi import coll
-from repro.mpi.algorithms import (
-    ALLREDUCE_ALGORITHMS,
-    BCAST_ALGORITHMS,
-)
 from repro.mpi.reduce_ops import MAX, MINLOC, SUM
 from repro.sim.engine import install_checker
 from tests.helpers import linear_cluster
 
 allgather_bruck = coll.get("allgather", "bruck").fn
+bcast_binomial = coll.get("bcast", "binomial").fn
+allreduce_recursive_doubling = coll.get("allreduce", "recursive_doubling").fn
+
+#: The flat alternatives to the default tree/reduce+bcast.
+FLAT_BCASTS = ["binomial", "linear"]
+FLAT_ALLREDUCES = ["recursive_doubling", "reduce_bcast"]
 
 NETWORKS = ["sisci", "tcp", "bip"]
 
@@ -61,9 +62,9 @@ def canon(value):
 
 
 @pytest.mark.parametrize("network", NETWORKS)
-@pytest.mark.parametrize("name", sorted(BCAST_ALGORITHMS))
+@pytest.mark.parametrize("name", FLAT_BCASTS)
 def test_bcast_algorithms_match_reference(name, network):
-    algorithm = BCAST_ALGORITHMS[name]
+    algorithm = coll.get("bcast", name).fn
     payload = ("blob", [1, 2, 3])
 
     def program(mpi):
@@ -77,10 +78,10 @@ def test_bcast_algorithms_match_reference(name, network):
 
 @pytest.mark.parametrize("network", NETWORKS)
 @pytest.mark.parametrize("nranks", [3, 4])
-@pytest.mark.parametrize("name", sorted(ALLREDUCE_ALGORITHMS))
+@pytest.mark.parametrize("name", FLAT_ALLREDUCES)
 def test_allreduce_algorithms_match_reference(name, nranks, network):
     # 3 ranks exercises recursive doubling's non-power-of-two fold.
-    algorithm = ALLREDUCE_ALGORITHMS[name]
+    algorithm = coll.get("allreduce", name).fn
     contributions = [(rank + 1) * 10 for rank in range(nranks)]
 
     def program(mpi):
@@ -96,7 +97,7 @@ def test_allreduce_algorithms_match_reference(name, nranks, network):
 @pytest.mark.parametrize("network", NETWORKS)
 def test_noncommutative_allreduce_falls_back_cleanly(network):
     # MINLOC on (value, rank) pairs — the classic rank-carrying reduce.
-    algorithm = ALLREDUCE_ALGORITHMS["recursive_doubling"]
+    algorithm = allreduce_recursive_doubling
     values = [5, 1, 7, 1]
 
     def program(mpi):
@@ -201,9 +202,9 @@ def test_collective_stack_composes_under_checker(network):
     def program(mpi):
         comm = mpi.comm_world
         me = comm.rank
-        root_value = yield from BCAST_ALGORITHMS["binomial"](
+        root_value = yield from bcast_binomial(
             comm, "go" if me == 0 else None, root=0)
-        total = yield from ALLREDUCE_ALGORITHMS["recursive_doubling"](
+        total = yield from allreduce_recursive_doubling(
             comm, me + 1, SUM)
         everyone = yield from allgather_bruck(comm, me)
         slices = yield from comm.alltoall(

@@ -13,7 +13,7 @@ def test_run_lists_kinds(capsys):
     assert main(["run", "--list"]) == 0
     out = capsys.readouterr().out
     for kind in ("mpi_pingpong", "raw_pingpong", "baseline_point",
-                 "fuzz_workload"):
+                 "workload"):
         assert kind in out
 
 
@@ -42,6 +42,18 @@ def test_run_uses_cache_on_rerun(tmp_path, capsys):
     assert second["cached"]
     assert second["result_digest"] == first["result_digest"]
     assert second["payload"] == first["payload"]
+
+
+def test_bare_cache_flag_uses_env_dir_and_zero_workers_means_all_cpus(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["run", "baseline_point", "-p", "model=ScaMPI", "-p", "size=8",
+            "--cache", "--workers", "0"]
+    assert main(argv) == 0
+    assert not json.loads(capsys.readouterr().out)["cached"]
+    assert len(list(tmp_path.glob("??/*.json"))) == 1
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cached"]
 
 
 def test_sweep_lists_figures(capsys):

@@ -200,6 +200,14 @@ def test_golden_ch_p4_and_raw_madeleine():
     assert raw_madeleine_pingpong("bip", 4096).one_way_ns == 55786
 
 
+def test_golden_ch_p4_rendezvous():
+    # 128 KB is above ch_p4's 64 KB eager threshold: the request / ack /
+    # data rendezvous (and its per-byte stall) carries the message.
+    result = mpi_pingpong(131072, device="ch_p4", reps=2)
+    assert (result.one_way_ns, result.mean_one_way_ns) == \
+        (13685588, 13685588.0)
+
+
 def test_golden_world_trace_cpu_time_and_poll_counters():
     """Full-fidelity pin: trace stream, per-task cpu_time, poll metrics.
 

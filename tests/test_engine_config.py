@@ -1,13 +1,10 @@
-"""EngineConfig wiring plus the legacy enable_* deprecation shims."""
+"""EngineConfig wiring and the imperative install_* helpers."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cluster import ClusterConfig, EngineConfig, MPIWorld, NodeSpec
-from repro.errors import ConfigurationError
 from repro.sim import Engine, NULL_INSTRUMENTS
 from repro.sim.engine import (
     install_checker,
@@ -92,23 +89,8 @@ def test_seed_namespace_derivation():
 
 
 # ---------------------------------------------------------------------------
-# removed enablement shims
+# the imperative install helpers
 # ---------------------------------------------------------------------------
-
-def test_enable_methods_are_errors_naming_the_replacement():
-    engine = Engine()
-    with pytest.raises(ConfigurationError,
-                       match="EngineConfig\\(instrumentation=True\\)"):
-        engine.enable_instrumentation()
-    with pytest.raises(ConfigurationError,
-                       match="EngineConfig\\(checker=True"):
-        engine.enable_checker(raise_on_violation=False)
-    with pytest.raises(ConfigurationError, match="engine.tracer"):
-        engine.enable_tracing()
-    # A failed enable_* call must not have half-installed anything.
-    assert not engine.instruments.enabled
-    assert not engine.checker.enabled
-
 
 def test_install_helpers_do_not_warn(recwarn):
     engine = Engine()

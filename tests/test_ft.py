@@ -22,9 +22,10 @@ from repro.errors import (
     MPIProcFailedError,
     MPIRevokedError,
 )
-from repro.faults import FaultPlan
+from repro.faults import FabricFaults, FaultPlan, LinkDown
 from repro.mpi.constants import ERR_PROC_FAILED, WORLD_CONTEXT
-from repro.units import us
+from repro.sim.coroutines import sleep
+from repro.units import ms, us
 
 
 def _nodes(count, networks=("tcp", "sisci"), processes=1):
@@ -210,6 +211,69 @@ class TestNonblockingErrors:
         results = world.run(program)
         assert results[0] == "failed-fast"
         assert results[2] is None
+
+
+# -- fault handlers off the common path -----------------------------------
+
+
+class TestRareFaultHandlers:
+    def test_unreachable_peer_is_declared_dead(self):
+        # Rank 0's only NIC stops transmitting at 100 us; rank 1's keeps
+        # working.  Each side's retries go unacknowledged while the peer
+        # was heard from recently, so the detector blames the channel;
+        # failover finds no other channel, and the reliable transport
+        # hands the peer to FailureDetector.on_unreachable.  Verdicts
+        # are session-wide: each rank is declared dead by the other.
+        plan = FaultPlan(fabrics={"sisci": FabricFaults(
+            downs=(LinkDown(at=us(100), adapters=(0,)),))})
+        world = MPIWorld(
+            ClusterConfig(nodes=_nodes(2, networks=("sisci",)),
+                          fault_plan=plan, ft=True),
+            engine_config=EngineConfig(instrumentation=True, checker=True,
+                                       checker_raise=False))
+
+        def program(mpi):
+            comm = mpi.comm_world
+            yield sleep(ms(60))
+            if comm.rank == 1:
+                with pytest.raises(MPIProcFailedError) as excinfo:
+                    yield from comm.send(b"x", dest=0, tag=5, size=64)
+                return excinfo.value.failed_rank
+            return None
+
+        assert world.run(program) == [None, 0]
+        assert world.session.detector.dead_ranks == {0, 1}
+        metrics = world.engine.instruments.metrics
+        assert metrics.value("ft.peer_deaths", reason="unreachable") == 2
+        assert list(world.engine.checker.violations) == []
+
+    def test_revoke_aborts_inflight_rendezvous_without_leak(self):
+        # Rank 1 has matched rank 0's 1 MB rendezvous request and acked
+        # it, but the ack is still on the wire when rank 2's revocation
+        # lands.  Only the sender's abort (Checker.on_ft_abort_send) can
+        # retire that handshake's shadow state; without it the finalize
+        # audit reports an incomplete rendezvous.
+        world = MPIWorld(
+            ClusterConfig(nodes=_nodes(3, networks=("tcp",)), ft=True),
+            engine_config=EngineConfig(checker=True, checker_raise=False))
+        size = 1 << 20
+
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 2:
+                yield sleep(us(30))
+                comm.revoke()
+                return None
+            if comm.rank == 0:
+                request = comm.isend(b"x", dest=1, tag=5, size=size)
+            else:
+                request = comm.irecv(source=0, tag=5, size=size)
+            with pytest.raises(MPIRevokedError):
+                yield from request.wait()
+            return "revoked"
+
+        assert world.run(program) == ["revoked", "revoked", None]
+        assert list(world.engine.checker.violations) == []
 
 
 # -- negative plants: the FT invariants must actually fire ----------------

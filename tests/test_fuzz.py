@@ -12,11 +12,15 @@ The contract under test:
 """
 
 from repro.check import fuzz as fuzz_mod
-from repro.check import workloads as workloads_mod
-from repro.check.fuzz import ScheduleFuzz, install_fuzz, run_sweep, run_workload
-from repro.check.workloads import WORKLOADS, Workload
+from repro.check.fuzz import ScheduleFuzz, install_fuzz, run_sweep
 from repro.cluster import ClusterConfig, NodeSpec
 from repro.sim import Engine
+from repro.workloads import WORKLOADS, Workload, run
+
+
+def fuzz_run(name, fuzz_seed):
+    """One sweep cell run directly: checked and traced."""
+    return run(name, fuzz_seed=fuzz_seed, check=True, instrumentation=True)
 
 
 # ---------------------------------------------------------------------------
@@ -70,32 +74,32 @@ def test_ready_rotation_applies_at_configured_rate():
 # ---------------------------------------------------------------------------
 
 def test_same_seed_reproduces_the_trace_bit_for_bit():
-    first = run_workload("mixed", fuzz_seed=5)
-    second = run_workload("mixed", fuzz_seed=5)
+    first = fuzz_run("mixed", 5)
+    second = fuzz_run("mixed", 5)
     assert first.ok and second.ok
-    assert first.digest == second.digest
+    assert first.trace_digest == second.trace_digest
     assert first.results == second.results
     assert first.time_ns == second.time_ns
     assert first.decisions == second.decisions
 
 
 def test_fuzz_seeds_change_the_schedule_not_the_results():
-    runs = [run_workload("mixed", fuzz_seed=seed) for seed in range(3)]
+    runs = [fuzz_run("mixed", seed) for seed in range(3)]
     assert all(run.ok for run in runs)
     assert all(run.decisions > 0 for run in runs)
     # Schedules genuinely differ...
-    assert len({run.digest for run in runs}) > 1
+    assert len({run.trace_digest for run in runs}) > 1
     # ...while every rank's user-visible result is identical.
     assert runs[0].results == runs[1].results == runs[2].results
 
 
 def test_unfuzzed_run_is_the_deterministic_baseline():
-    plain = run_workload("mixed", fuzz_seed=None)
-    again = run_workload("mixed", fuzz_seed=None)
+    plain = fuzz_run("mixed", None)
+    again = fuzz_run("mixed", None)
     assert plain.ok
     assert plain.decisions == 0
-    assert plain.digest == again.digest
-    fuzzed = run_workload("mixed", fuzz_seed=1)
+    assert plain.trace_digest == again.trace_digest
+    fuzzed = fuzz_run("mixed", 1)
     assert fuzzed.results == plain.results
 
 
@@ -201,13 +205,3 @@ def test_legacy_fuzz_module_cli_is_gone():
     # The `python -m repro.check.fuzz` shim graduated out of existence;
     # the consolidated CLI owns the subcommand now.
     assert not hasattr(fuzz_mod, "main")
-
-
-def test_module_reexports_are_consistent():
-    # fuzz.py resolves workloads lazily (import-cycle discipline) — make
-    # sure both legacy modules and the unified registry share one object.
-    assert fuzz_mod is not None
-    import repro.workloads as unified
-    from repro.check.workloads import WORKLOADS as again
-    assert again is workloads_mod.WORKLOADS
-    assert again is unified.WORKLOADS

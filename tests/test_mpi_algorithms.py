@@ -1,14 +1,11 @@
 """Equivalence tests for the alternative collective algorithms.
 
-The implementations live in the registry (:mod:`repro.mpi.coll`); the
-old :mod:`repro.mpi.algorithms` free functions are removal errors, which
-the last test pins.
+The implementations live in the registry (:mod:`repro.mpi.coll`).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
 from repro.mpi import coll
 from repro.mpi.reduce_ops import MAX, SUM, user_op
 from tests.helpers import run_ranks
@@ -115,21 +112,3 @@ class TestAlgorithmCosts:
             return fast == slow == sum(root_values)
 
         assert all(run_ranks(program, nranks=nranks))
-
-
-class TestRemovedFreeFunctions:
-    def test_legacy_module_functions_raise_with_replacement(self):
-        from repro.mpi import algorithms as legacy
-
-        for fn, hint in [
-            (lambda: legacy.bcast_linear(None, "x"), "algorithm='linear'"),
-            (lambda: legacy.bcast_binomial(None, "x"),
-             "algorithm='binomial'"),
-            (lambda: legacy.allreduce_recursive_doubling(None, 1, SUM),
-             "algorithm='recursive_doubling'"),
-            (lambda: legacy.allgather_bruck(None, 1), "algorithm='bruck'"),
-        ]:
-            with pytest.raises(ConfigurationError) as exc:
-                fn()
-            assert hint in str(exc.value)
-            assert "repro.mpi.coll.get" in str(exc.value)

@@ -186,6 +186,16 @@ class TestCartComm:
         assert results[0] == (3, 1)
         assert results[3] == (2, 0)
 
+    def test_neighbors_are_unit_shifts_per_dimension(self):
+        def program(mpi):
+            comm = mpi.comm_world
+            cart = yield from comm.create_cart((2, 2), periods=(True, False))
+            return cart.neighbors()
+
+        results = run_ranks(program, nranks=4)
+        # rank 1 sits at (0, 1): dimension 0 wraps, dimension 1 does not.
+        assert results[1] == {0: (3, 3), 1: (0, PROC_NULL)}
+
     def test_ring_exchange_over_cart(self):
         """A periodic ring rotation using shift + sendrecv."""
         def program(mpi):

@@ -9,6 +9,8 @@ from repro.errors import MPIDatatypeError, MPIError, MPIRequestError
 from repro.mpi.datatypes import DOUBLE, INT, contiguous, create_resized, dup, vector
 from repro.mpi.packbuf import pack, pack_size, unpack
 from repro.mpi.reduce_ops import MAX, SUM
+from repro.sim.coroutines import sleep
+from repro.units import us
 from tests.helpers import run_ranks
 
 
@@ -39,6 +41,29 @@ class TestPersistentRequests:
         results = run_ranks(program)
         assert results[0] == [100.0 + s for s in range(5)]
         assert results[1] == [0.0 + s for s in range(5)]
+
+    def test_test_polls_until_done_then_deactivates(self):
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 1:
+                yield from comm.send("late", dest=0, tag=3)
+                return None
+            req = comm.recv_init(source=1, tag=3)
+            assert not req.active
+            with pytest.raises(MPIRequestError, match="inactive"):
+                req.test()
+            req.start()
+            assert req.active
+            polls = 0
+            done, result = req.test()
+            while not done:
+                polls += 1
+                yield sleep(us(5))
+                done, result = req.test()
+            assert not req.active  # a completed test() deactivates
+            return result[0], polls > 0
+
+        assert run_ranks(program)[0] == ("late", True)
 
     def test_start_while_active_raises(self):
         def program(mpi):

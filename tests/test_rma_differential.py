@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.fuzz import run_workload
 from repro.cluster import ClusterConfig, MPIWorld, NodeSpec
 from repro.faults import lossy_plan
+from repro.workloads import run
 from repro.sim.engine import EngineConfig
 
 #: Sizes straddling the 16 KiB IB switch point: eager, boundary, and
@@ -134,8 +134,8 @@ def test_window_traffic_rdma_vs_packetized(op):
 def test_rma_storm_same_seed_bit_deterministic():
     """Two same-seed rma_storm runs produce identical trace digests and
     identical results (the PR's bit-determinism acceptance criterion)."""
-    first = run_workload("rma_storm", fuzz_seed=11, workload_seed=2)
-    second = run_workload("rma_storm", fuzz_seed=11, workload_seed=2)
+    first, second = (run("rma_storm", seed=2, fuzz_seed=11, check=True,
+                         instrumentation=True) for _ in range(2))
     assert first.ok and second.ok
-    assert first.digest == second.digest
+    assert first.trace_digest == second.trace_digest
     assert first.results == second.results

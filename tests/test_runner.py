@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -165,6 +167,52 @@ def test_exhausted_retries_report_failure(scratch_kind):
     assert "boom" in results[0].error
     assert results[0].attempts == 2  # first try + one retry
     assert results[1].ok  # one bad job does not sink the batch
+
+
+def _crash_once(params, seed):
+    """Kill the worker process on the first attempt, succeed after."""
+    flag = params["flag"]
+    if not os.path.exists(flag):
+        open(flag, "w").close()
+        os._exit(1)
+    return {"ok": params["flag"]}
+
+
+def _crash_always(params, seed):
+    os._exit(1)
+
+
+def _run_in_thread(runner, specs, timeout_s=120):
+    """``runner.run(specs)``, failing the test instead of hanging."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(runner.run(specs)),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), "runner hung after a worker crash"
+    return out[0]
+
+
+def test_worker_crash_is_requeued_and_succeeds(tmp_path, scratch_kind):
+    scratch_kind("crash_once", _crash_once)
+    specs = [JobSpec(kind="crash_once", params={"flag": str(tmp_path / f)})
+             for f in ("a", "b")]
+    results = _run_in_thread(Runner(workers=2, retries=2, backoff_s=0),
+                             specs)
+    assert [r.ok for r in results] == [True, True]
+    assert [r.payload["ok"] for r in results] == \
+        [spec.params["flag"] for spec in specs]
+    assert all(r.attempts >= 2 for r in results)
+
+
+def test_worker_crash_every_attempt_fails_after_retries(scratch_kind):
+    scratch_kind("crash_always", _crash_always)
+    specs = [JobSpec(kind="crash_always", params={"n": n}) for n in (1, 2)]
+    results = _run_in_thread(Runner(workers=2, retries=1, backoff_s=0),
+                             specs)
+    assert [r.ok for r in results] == [False, False]
+    assert all("BrokenProcessPool" in r.error for r in results)
+    assert [r.attempts for r in results] == [2, 2]  # first try + one retry
 
 
 # ---------------------------------------------------------------------------

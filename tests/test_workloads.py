@@ -5,20 +5,19 @@ Covers the PR's API contract:
 - round-trip: ``run`` (direct), the ``workload`` job kind (sweep/cache
   path) and ``repro.check.fuzz`` (fuzz path) all resolve the *same*
   registered workload and agree on its results;
+- a run that raises reports the error in its result and payload;
 - parameter schema: defaults resolve, overrides apply, typos raise;
 - macro-workloads: same-seed bit-determinism for ``ml_training`` and
   ``cfd_halo``, and the differential claim that the hierarchical
   allreduce matches the flat one element for element on the integer
-  gradients;
-- legacy surface: ``repro.check.workloads`` / ``repro.runner.jobs``
-  re-export the same registry objects.
+  gradients.
 """
 
 import numpy as np
 import pytest
 
 import repro.workloads as workloads
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeadlockError
 from repro.mpi import coll
 from repro.mpi.reduce_ops import SUM
 from repro.runner import JobSpec, Runner
@@ -29,6 +28,13 @@ from repro.workloads.ml_training import (
     model_layers,
 )
 from tests.helpers import run_ranks
+
+
+def _run(name, **kwargs):
+    """``workloads.run`` for a run that must succeed."""
+    outcome = workloads.run(name, **kwargs)
+    assert outcome.ok, outcome.error
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,7 @@ def test_round_trip_run_sweep_fuzz_resolve_one_registration():
         params={"scale": Param(3, "multiplier")})
     try:
         # 1. the direct path
-        direct = workloads.run("planted", seed=1)
+        direct = _run("planted", seed=1)
         assert direct.results == [9, 9]  # (0+1)*3 + (1+1)*3 on both ranks
 
         # 2. the runner path (the `workload` job kind), with a cache
@@ -100,8 +106,12 @@ def test_round_trip_run_sweep_fuzz_resolve_one_registration():
         assert result.payload["params"] == {"scale": 3}
 
         # 3. the fuzz path
-        from repro.check.fuzz import run_workload
-        fuzzed = run_workload("planted", fuzz_seed=2, workload_seed=1)
+        from repro.check.fuzz import run_sweep
+        lines = []
+        assert run_sweep(["planted"], [2], workload_seed=1,
+                         out=lines.append) == []
+        assert lines[0].startswith("ok   planted seed=2 ")
+        fuzzed = workloads.run("planted", seed=1, fuzz_seed=2)
         assert fuzzed.ok
         assert fuzzed.results == direct.results
     finally:
@@ -132,27 +142,27 @@ def test_workload_kind_rejects_bad_parameters():
 
 @pytest.mark.parametrize("name", ["ml_training", "cfd_halo"])
 def test_macro_same_seed_bit_determinism(name):
-    first = workloads.run(name, seed=4)
-    again = workloads.run(name, seed=4)
+    first = _run(name, seed=4)
+    again = _run(name, seed=4)
     assert first.digest == again.digest
     assert first.results == again.results
     assert first.time_ns == again.time_ns
-    other = workloads.run(name, seed=5)
+    other = _run(name, seed=5)
     assert other.digest != first.digest  # the seed genuinely reshapes it
 
 
 @pytest.mark.parametrize("name", ["ml_training", "cfd_halo"])
 def test_macro_workloads_are_checker_clean(name):
-    outcome = workloads.run(name, seed=0, check=True)
+    outcome = _run(name, seed=0, check=True)
     assert outcome.violations == ()
 
 
 def test_ml_training_hier_matches_flat_results():
-    hier = workloads.run("ml_training", seed=2)
-    flat = workloads.run("ml_training", seed=2,
-                         params={"algorithm": "default"})
-    blocking = workloads.run("ml_training", seed=2,
-                             params={"overlap": False})
+    hier = _run("ml_training", seed=2)
+    flat = _run("ml_training", seed=2,
+                params={"algorithm": "default"})
+    blocking = _run("ml_training", seed=2,
+                    params={"overlap": False})
     assert hier.results == flat.results == blocking.results
 
 
@@ -176,8 +186,8 @@ def test_ml_training_hier_matches_flat_element_for_element():
 
 
 def test_cfd_halo_graph_topology_is_deterministic_too():
-    first = workloads.run("cfd_halo", seed=1, params={"topology": "graph"})
-    again = workloads.run("cfd_halo", seed=1, params={"topology": "graph"})
+    first = _run("cfd_halo", seed=1, params={"topology": "graph"})
+    again = _run("cfd_halo", seed=1, params={"topology": "graph"})
     assert first.digest == again.digest
 
 
@@ -190,25 +200,44 @@ def test_macro_workloads_fuzz_clean():
 
 
 # ---------------------------------------------------------------------------
-# legacy surface
+# outcomes
 # ---------------------------------------------------------------------------
 
-def test_legacy_modules_reexport_the_same_objects():
-    from repro.check import workloads as legacy_workloads
-    from repro.runner import jobs as legacy_jobs
-    from repro.workloads import executors
+def _deadlock_build(seed):
+    from tests.helpers import linear_cluster
 
-    assert legacy_workloads.WORKLOADS is workloads.WORKLOADS
-    assert legacy_workloads.Workload is Workload
-    assert legacy_jobs.EXECUTORS is executors.EXECUTORS
-    assert legacy_jobs.execute is executors.execute
+    def program(mpi):
+        yield from mpi.comm_world.recv(source=1 - mpi.comm_world.rank)
+
+    return linear_cluster(2), program
+
+
+def test_failed_run_reports_its_error(capsys):
+    from repro.cli import main as cli_main
+
+    workloads.WORKLOADS["stuck"] = Workload("stuck", "recv-recv deadlock",
+                                            _deadlock_build)
+    try:
+        outcome = workloads.run("stuck")
+        spec = JobSpec(kind="workload", params={"workload": "stuck"})
+        result = Runner(workers=1).run([spec])[0]
+        status = cli_main(["run", "--workload", "stuck"])
+    finally:
+        del workloads.WORKLOADS["stuck"]
+    assert not outcome.ok and outcome.results is None
+    assert isinstance(outcome.error, DeadlockError)
+    assert result.ok  # the job ran; the workload failed
+    assert result.payload["error"].startswith("DeadlockError: ")
+    assert "trace" in result.payload
+    assert status == 1
+    assert "workload stuck failed: DeadlockError" in capsys.readouterr().err
 
 
 def test_metrics_of_interest_reported_when_instrumented():
-    outcome = workloads.run("cfd_halo", seed=0, instrumentation=True)
+    outcome = _run("cfd_halo", seed=0, instrumentation=True)
     assert set(outcome.metrics) == {"chmad.packets", "mad.bytes",
                                     "rdma.writes"}
     assert outcome.metrics["chmad.packets"] > 0
-    bare = workloads.run("cfd_halo", seed=0)
+    bare = _run("cfd_halo", seed=0)
     assert bare.metrics == {}
     assert bare.digest == outcome.digest  # instrumentation is invisible
