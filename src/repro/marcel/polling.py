@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from repro.sim.coroutines import charge, clock_sleep, sleep, wait
+from repro.sim.coroutines import charge, clock_charge, clock_sleep, sleep, wait
 from repro.sim.cpu import Task
 from repro.sim.sync import Mailbox
 from repro.marcel.thread import MarcelRuntime
@@ -85,6 +85,11 @@ class PollingThread:
         self.handler = handler
         self.items_handled = 0
         self.polls = 0
+        #: End of the current clock phase while it is pure, else None.
+        self._clock_end: int | None = None
+        if source.mode is PollMode.PERIODIC:
+            assert source.mailbox.on_post is None, "one poller per mailbox"
+            source.mailbox.on_post = self._on_post
         self.task: Task = runtime.spawn(
             self._body(), name=f"poll.{source.name}", daemon=True
         )
@@ -131,6 +136,17 @@ class PollingThread:
             offset = fuzz.poller_phase(self.source.name)
             if offset:
                 yield sleep(offset)
+        # Syscalls are read-only to the scheduler: build the two poll
+        # charges once instead of once per tick.
+        poll_charge, idle_poll_charge = charge(cost), clock_charge(cost)
+        # An idle poller files its sleeps and poll charges as self-clock
+        # events, which peers' fast-forwards see past.  Three rules keep
+        # them pure: (A) the charge is a clock charge only after an idle
+        # clock sleep, with the mailbox empty and nothing ready; (B) a
+        # task readied during a clock charge pins its end
+        # (CPU._pin_clock_charge); (C) a post during a clock phase pins
+        # its end (_on_post).
+        idle = False
         while True:
             self.polls += 1
             ins = engine.instruments
@@ -138,7 +154,13 @@ class PollingThread:
                 ins.count("poll.wakeups", 1, source=self.source.name,
                           mode="periodic")
             if cost:
-                yield charge(cost)
+                if idle and len(mailbox) == 0 and cpu.ready_count() == 0:
+                    self._clock_end = engine.now + cost
+                    yield idle_poll_charge
+                    self._clock_end = None
+                else:
+                    yield poll_charge
+            idle = False
             handled_any = False
             while len(mailbox) > 0:
                 handled_any = True
@@ -159,19 +181,21 @@ class PollingThread:
                 if busy:
                     yield sleep(pause)
                     continue
-                # The mailbox is empty right now (handled_any is False and
-                # the drain loop above saw it empty), so this wake is a
-                # pure self-clock tick until some *other* engine event
-                # posts — file it as one (clock_sleep) so peer pollers'
-                # fast-forwards can see past it.
-                skipped = self._idle_skip(pause)
-                if skipped:
-                    # Idle-poll fast-forward: absorb `skipped` whole
-                    # wake/charge/check cycles into one sleep, with
-                    # identical bookkeeping (see _idle_skip).
-                    yield clock_sleep(pause + skipped * (pause + cost))
-                else:
-                    yield clock_sleep(pause)
+                # Absorb the idle ticks that provably find the mailbox
+                # empty into one clock sleep (see _idle_skip).
+                pause += self._idle_skip(pause) * (pause + cost)
+                self._clock_end = engine.now + pause
+                yield clock_sleep(pause)
+                self._clock_end = None
+                idle = True
+
+    def _on_post(self) -> None:
+        """Rule C: an item arrived during a clock phase, whose end will
+        now handle it — pin that end as a payload bound, once."""
+        end = self._clock_end
+        if end is not None:
+            self._clock_end = None
+            self.runtime.engine.pin_payload(end)
 
     def _idle_skip(self, pause: int) -> int:
         """Idle ticks that provably find an empty mailbox — skip them.
@@ -179,13 +203,14 @@ class PollingThread:
         With the CPU otherwise idle and the mailbox empty, the poll loop
         is a fixed-period self-clock: wake, charge ``poll_cost``, find
         the mailbox empty, sleep ``pause``.  Nothing can change its
-        inputs before the next *payload* event fires (every arrival and
-        every wake of a competing task is an engine event;
-        ``Engine.next_payload_time`` excludes peer pollers' own
-        self-clock ticks, which provably cannot touch this CPU or this
-        mailbox), so each tick whose mailbox *check* lands strictly
-        before that event is pure overhead: ~480k events per figure6
-        series in the pre-fast-forward profile.
+        inputs before the next *payload* event fires: every arrival and
+        every wake of a competing task is an engine event, and
+        ``Engine.next_payload_time`` leaves out only peer pollers' clock
+        sleeps and clock charges, which the three rules in
+        :meth:`_periodic_body` keep from touching this CPU or this
+        mailbox.  So each tick whose mailbox *check* lands strictly
+        before that event is pure overhead; on the paper's TCP sweeps
+        that is most of the events an unskipped run executes.
 
         This computes how many such ticks are ahead, performs their
         bookkeeping arithmetically — same ``polls``, same per-task

@@ -43,6 +43,17 @@ class Charge(SystemCall):
         self.duration = int(duration)
 
 
+class ClockCharge(Charge):
+    """A :class:`Charge` whose completion is a pure self-clock tick.
+
+    The ``select`` an idle periodic poller pays after a
+    :class:`ClockSleep`; filed like one (see ``Engine.pin_payload`` for
+    when it stops being pure).
+    """
+
+    __slots__ = ()
+
+
 class Sleep(SystemCall):
     """Release the CPU and become runnable again after ``duration`` ns."""
 
@@ -97,6 +108,11 @@ class GetTime(SystemCall):
 def charge(duration: int) -> Charge:
     """Busy the CPU for ``duration`` ns."""
     return Charge(duration)
+
+
+def clock_charge(duration: int) -> ClockCharge:
+    """Busy the CPU for ``duration`` ns as a poller self-clock charge."""
+    return ClockCharge(duration)
 
 
 def sleep(duration: int) -> Sleep:

@@ -26,6 +26,7 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import SimulationError
 from repro.sim.coroutines import (
     Charge,
+    ClockCharge,
     ClockSleep,
     GetTime,
     Sleep,
@@ -243,6 +244,8 @@ class CPU:
         self._retire_hooks: list[Callable[[], None]] = []
         #: Total ns this CPU spent busy (charges + switches), diagnostic.
         self.busy_time: int = 0
+        #: End of the current task's clock charge while it is pure.
+        self._clock_charge_end: int | None = None
 
     # -- public API --------------------------------------------------------
 
@@ -274,6 +277,8 @@ class CPU:
         task.state = TaskState.READY
         task._queued = True
         self._ready.append(task)
+        if self._clock_charge_end is not None:
+            self._pin_clock_charge()
         self._ensure_dispatch()
         return task
 
@@ -288,6 +293,8 @@ class CPU:
         task._wake_value = value
         task._queued = True
         self._ready.append(task)
+        if self._clock_charge_end is not None:
+            self._pin_clock_charge()
         self._ensure_dispatch()
 
     def ready_count(self) -> int:
@@ -375,6 +382,16 @@ class CPU:
         # finished tasks and ready_count() subtracts the dead.
         if task._queued:
             self._ready_dead += 1
+
+    def _pin_clock_charge(self) -> None:
+        """A task became ready during a clock charge, whose end will now
+        hand it the CPU — pin that end as a payload bound, once."""
+        self.engine.pin_payload(self._clock_charge_end)
+        self._clock_charge_end = None
+
+    def _clock_charge_done(self, task: Task) -> None:
+        self._clock_charge_end = None
+        self._resume_event(task, None)
 
     def _ensure_dispatch(self) -> None:
         if self.current is None and not self._dispatch_pending:
@@ -506,47 +523,20 @@ class CPU:
                 task._queued = True
                 self._ready.append(task)
                 return
-            # Subclasses of the syscall types still work, just off the
-            # fast path.
-            if isinstance(syscall, Charge):
+            if cls is ClockCharge:
                 duration = syscall.duration
                 if duration == 0:
                     continue
                 task.state = TaskState.CHARGING
                 self.busy_time += duration
                 task.cpu_time += duration
-                engine.schedule_discard(duration, self._resume_event, task, None)
-                return
-            if isinstance(syscall, GetTime):
-                value = engine._now
-                continue
-            if isinstance(syscall, Wait):
-                acquired, wait_value = syscall.waitable._try_acquire(task)
-                if acquired:
-                    value = wait_value
-                    continue
-                task.state = TaskState.BLOCKED
-                task.waiting_on = syscall.waitable
-                self.current = None
-                return
-            if isinstance(syscall, Sleep):
-                task.state = TaskState.SLEEPING
-                self.current = None
-                if isinstance(syscall, ClockSleep):
-                    engine.schedule_clock(syscall.duration, self,
-                                          self._wake_sleeper, task)
-                else:
-                    engine.schedule_discard(syscall.duration,
-                                            self._wake_sleeper, task)
-                return
-            if isinstance(syscall, YieldCPU):
-                task.state = TaskState.READY
-                self.current = None
-                task._queued = True
-                self._ready.append(task)
+                self._clock_charge_end = engine._now + duration
+                engine.schedule_clock(duration, self, self._clock_charge_done,
+                                      task)
                 return
             raise SimulationError(
-                f"task {task.name} yielded {syscall!r}, which is not a SystemCall"
+                f"task {task.name} yielded {syscall!r}, which is not a "
+                "SystemCall this scheduler knows"
             )
 
     def _wake_sleeper(self, task: Task) -> None:
@@ -555,6 +545,8 @@ class CPU:
         task.state = TaskState.READY
         task._queued = True
         self._ready.append(task)
+        if self._clock_charge_end is not None:
+            self._pin_clock_charge()
         if self.current is None:
             self._release_cpu()
         # else: the CPU is busy; whoever releases it dispatches.

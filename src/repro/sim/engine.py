@@ -14,9 +14,9 @@ wall-clock, see DESIGN.md "Simulator performance"):
 - zero-delay events — overwhelmingly CPU dispatch requests — bypass the
   heap entirely and live in a FIFO deque.  Because an entry's timestamp
   equals the clock when it was appended and the clock cannot pass a
-  queued event, the deque is always sorted by ``(time, seq)``; ``step``
-  merely compares the two queue heads, preserving the exact global
-  ordering a single heap would produce;
+  queued event, the deque is always sorted by ``(time, seq)``;
+  ``step_batch`` merely compares the queue heads, preserving the exact
+  global ordering a single heap would produce;
 - internal fire-and-forget events (charge completions, sleeper wakes,
   dispatches) are recycled through a free pool via :meth:`call_soon` /
   :meth:`schedule_discard`, whose callers promise not to retain the
@@ -192,6 +192,9 @@ class Engine:
         #: O(1): this is what lets idle ranks fast-forward at ~zero cost
         #: regardless of world size.
         self._clock_by_cpu: dict[Any, list[int]] = {}
+        #: Min-heap of pinned clock-event times (:meth:`pin_payload`);
+        #: :meth:`next_payload_time` pops the stale ones.
+        self._pinned: list[int] = []
         #: Cancelled events still sitting in either queue.
         self._cancelled: int = 0
         self._pool: list[Event] = []
@@ -335,16 +338,17 @@ class Engine:
 
     def schedule_clock(self, delay: int, cpu: Any,
                        callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule a poller self-clock wake ``delay`` ns from now.
+        """Schedule a poller self-clock event ``delay`` ns from now.
 
         Pooled and fire-and-forget like :meth:`schedule_discard`, but
-        filed in the clock queue: the wake belongs to an idle periodic
-        poller on ``cpu`` and cannot influence anything except that
-        poller (its mailbox only fills from *other* engine events).
-        Execution order is still exact (time, seq) — :meth:`step` merges
-        all three queues — but :meth:`next_payload_time` can exclude
-        these, which is what lets two idle pollers fast-forward past
-        each other instead of pinning each other awake.
+        filed in the clock queue: the event (the wake after a clock
+        sleep, or the end of a clock charge) belongs to an idle periodic
+        poller on ``cpu`` and touches nothing but that poller, unless
+        :meth:`pin_payload` says otherwise.  Execution order is still
+        exact (time, seq) — :meth:`step_batch` merges all three queues —
+        but :meth:`next_payload_time` can exclude these, which is what
+        lets two idle pollers fast-forward past each other instead of
+        pinning each other awake.
         """
         time = self._now + int(delay)
         if self._pool:
@@ -364,6 +368,15 @@ class Engine:
         if percpu is None:
             percpu = self._clock_by_cpu[cpu] = []
         heapq.heappush(percpu, time)
+
+    def pin_payload(self, time: int) -> None:
+        """Make the clock event due at ``time`` count as a payload event.
+
+        For a clock event that was given work (a post into its poller's
+        mailbox, a task readied on its CPU during a clock charge): every
+        CPU's :meth:`next_payload_time` must stop seeing past it.
+        """
+        heapq.heappush(self._pinned, time)
 
     # -- cancellation accounting ------------------------------------------
 
@@ -407,7 +420,7 @@ class Engine:
 
     # -- execution --------------------------------------------------------
 
-    def _peek_time(self) -> int | None:
+    def next_event_time(self) -> int | None:
         """Timestamp of the next non-cancelled event, or None if drained.
 
         Cancelled heads are dropped in passing so the peek stays O(1)
@@ -431,26 +444,18 @@ class Engine:
             best = clock[0][0]
         return best
 
-    def next_event_time(self) -> int | None:
-        """Public peek: when the next queued event fires (None if none).
-
-        The idle-poll fast-forward uses this to bound how far it may
-        skip: nothing observable can change before this timestamp.
-        """
-        return self._peek_time()
-
     def next_payload_time(self, cpu: Any) -> int | None:
         """When the next event that could affect ``cpu`` fires.
 
         Like :meth:`next_event_time` but sees past *other* CPUs' poller
-        self-clock wakes (see :meth:`schedule_clock`): such a wake runs
-        an idle poller that only touches its own CPU and its own (empty)
-        mailbox, so it cannot post a payload, wake a task, or change the
-        ready count on ``cpu`` before some non-clock event fires first.
-        Same-CPU clock entries *are* included — another poller waking on
-        this CPU flips its busy/idle decision.  This is the bound the
-        idle-poll fast-forward skips to; excluding each other's clocks
-        is what keeps two idle pollers from pinning each other awake.
+        self-clock events (see :meth:`schedule_clock`): such an event
+        runs an idle poller that only touches its own CPU and its own
+        (empty) mailbox, so it cannot post a payload, wake a task, or
+        change the ready count on ``cpu`` before some non-clock event
+        fires first.  Same-CPU clock events *are* included (another
+        poller waking on this CPU flips its busy/idle decision), and so
+        are pinned ones (:meth:`pin_payload`).  This is the bound the
+        idle-poll fast-forward skips to.
         """
         queue = self._queue
         immediate = self._immediate
@@ -471,6 +476,13 @@ class Engine:
         percpu = self._clock_by_cpu.get(cpu)
         if percpu and (best is None or percpu[0] < best):
             best = percpu[0]
+        pinned = self._pinned
+        if pinned:
+            now = self._now
+            while pinned and pinned[0] < now:
+                heapq.heappop(pinned)
+            if pinned and (best is None or pinned[0] < best):
+                best = pinned[0]
         return best
 
     def quiet_now(self) -> bool:
@@ -481,20 +493,43 @@ class Engine:
         indistinguishable from scheduling a zero-delay dispatch event,
         because that event would be the unique next thing to execute.
         """
-        t = self._peek_time()
+        t = self.next_event_time()
         return t is None or t > self._now
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain.
+        """Execute the next pending event.  Returns False if none remain."""
+        return self.step_batch(1) == 1
 
-        The pop logic of :meth:`_next_live` is inlined here: this method
-        runs once per simulated event and the extra call was measurable.
+    def step_batch(self, limit: int, stop_flag: Any = None) -> int:
+        """Execute up to ``limit`` events in one dispatch sweep.
+
+        Events fire in exact global (time, seq) order whatever the batch
+        size (:meth:`step` is ``step_batch(1)``), but the per-event
+        overhead (method call, queue-head rebinding) is paid once per
+        batch, and runs of same-timestamp zero-delay events (the
+        wire-delivery cascades of a large world) drain through a tight
+        inner loop that skips the 3-way merge while the timed heaps
+        provably hold nothing due now.
+
+        ``stop_flag``, when given, is an indexable whose ``[0]`` entry is
+        re-checked *between* events; the sweep stops before the next
+        event once it goes true — exactly where a ``step()`` caller's
+        loop condition would, so :meth:`MPIWorld.run
+        <repro.cluster.session.MPIWorld.run>` sees the same event
+        sequence batched as unbatched.
+
+        Returns the number of events executed (less than ``limit`` only
+        when the queues drained or ``stop_flag`` went true).
         """
         queue = self._queue
         immediate = self._immediate
         clock = self._clock_queue
         pool = self._pool
-        while True:
+        executed = 0
+        check_stop = stop_flag is not None
+        while executed < limit:
+            if check_stop and stop_flag[0]:
+                break
             # Three-way (time, seq) merge of the queue heads; src tracks
             # which structure currently holds the minimum.
             src = 0
@@ -516,7 +551,7 @@ class Engine:
                                                   and head[1] < seq):
                     src = 3
             if src == 0:
-                return False
+                break
             if src == 1:
                 event = immediate.popleft()
             elif src == 2:
@@ -532,85 +567,8 @@ class Engine:
                 self._cancelled -= 1
                 self._release(event)
                 continue
-            if event.time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event queue went backwards in time")
             # Marked done on pop: a cancel() arriving while (or after) the
             # callback runs must not touch the queued-cancelled counter.
-            event._done = True
-            self._now = event.time
-            self.events_executed += 1
-            event.callback(*event.args)
-            if event._pooled and len(pool) < _POOL_MAX:
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                pool.append(event)
-            return True
-
-    def step_batch(self, limit: int, stop_flag: Any = None) -> int:
-        """Execute up to ``limit`` events in one dispatch sweep.
-
-        Bit-identical to calling :meth:`step` in a loop — events still
-        fire in exact global (time, seq) order — but the per-event
-        Python overhead (method call, queue-head rebinding) is paid once
-        per *batch*, and runs of same-timestamp zero-delay events (the
-        cross-rank wire-delivery cascades of a large world, where one
-        tick delivers to hundreds of ranks at the same nanosecond) drain
-        through a tight inner loop that skips the 3-way merge entirely
-        while the timed heaps provably hold nothing due now.
-
-        ``stop_flag``, when given, is an indexable whose ``[0]`` entry is
-        re-checked *between* events; the sweep stops before the next
-        event once it goes true.  An index read is cheaper than calling
-        a closure per event, and the check lands at exactly the points
-        where a ``step()`` caller's loop condition would — so
-        :meth:`MPIWorld.run <repro.cluster.session.MPIWorld.run>` sees
-        the same event sequence batched as unbatched.
-
-        Returns the number of events executed (less than ``limit`` only
-        when the queues drained or ``stop_flag`` went true).
-        """
-        queue = self._queue
-        immediate = self._immediate
-        clock = self._clock_queue
-        pool = self._pool
-        executed = 0
-        check_stop = stop_flag is not None
-        while executed < limit:
-            if check_stop and stop_flag[0]:
-                break
-            # Three-way (time, seq) merge, exactly as in step().
-            src = 0
-            if immediate:
-                head_event = immediate[0]
-                time = head_event.time
-                seq = head_event.seq
-                src = 1
-            if queue:
-                head = queue[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    time = head[0]
-                    seq = head[1]
-                    src = 2
-            if clock:
-                head = clock[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    src = 3
-            if src == 0:
-                break
-            if src == 1:
-                event = immediate.popleft()
-            elif src == 2:
-                event = heapq.heappop(queue)[2]
-            else:
-                entry = heapq.heappop(clock)
-                event = entry[2]
-                heapq.heappop(self._clock_by_cpu[entry[3]])
-            if event.cancelled:
-                self._cancelled -= 1
-                self._release(event)
-                continue
             event._done = True
             now = event.time
             self._now = now
@@ -664,7 +622,6 @@ class Engine:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
         executed = 0
-        step = self.step
         try:
             if until is None and max_events is None:
                 # Unbounded drain: sweep in large batches (identical event
@@ -673,20 +630,17 @@ class Engine:
                     pass
             else:
                 while True:
-                    head = self._peek_time()
-                    if head is None:
+                    head = self.next_event_time()
+                    if head is None or (until is not None and head > until):
                         if until is not None:
                             self._now = max(self._now, until)
-                        break
-                    if until is not None and head > until:
-                        self._now = max(self._now, until)
                         break
                     if max_events is not None and executed >= max_events:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "possible livelock (a polling loop that never sleeps?)"
                         )
-                    step()
+                    self.step_batch(1)
                     executed += 1
         finally:
             self._running = False

@@ -13,7 +13,7 @@ are only shared between threads of one simulated process).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
 from repro.errors import SimulationError
 
@@ -142,12 +142,16 @@ class Mailbox:
     ``wait(mailbox)`` evaluates to the oldest posted item.  Posting with
     waiters present hands the item directly to the first one (no queue
     traversal), which keeps delivery order strict.
+
+    ``on_post``, when set, is called after every post: a periodic
+    poller, which never waits on its mailbox, uses it to see arrivals.
     """
 
     def __init__(self, name: str | None = None):
         self.name = name or "mailbox"
         self._items: deque[Any] = deque()
         self._waiters: deque["Task"] = deque()
+        self.on_post: Callable[[], None] | None = None
 
     def _try_acquire(self, task: "Task") -> tuple[bool, Any]:
         if self._items:
@@ -162,6 +166,8 @@ class Mailbox:
             task.cpu.make_ready(task, item)
         else:
             self._items.append(item)
+        if self.on_post is not None:
+            self.on_post()
 
     def __len__(self) -> int:
         return len(self._items)

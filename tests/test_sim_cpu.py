@@ -9,6 +9,7 @@ from repro.sim import (
     Semaphore,
     TaskState,
     charge,
+    clock_charge,
     now,
     sleep,
     wait,
@@ -236,6 +237,45 @@ def test_busy_time_accounting(engine, cpu):
     cpu.spawn(body)
     engine.run()
     assert cpu.busy_time == 500
+
+
+def test_clock_charge_accounts_like_a_charge_off_the_payload_queue(engine, cpu):
+    other = object()
+
+    def body():
+        yield clock_charge(300)
+        yield charge(200)
+
+    task = cpu.spawn(body)
+    engine.run(until=100)
+    assert task.state is TaskState.CHARGING
+    assert engine.next_payload_time(other) is None
+    engine.run()
+    assert (engine.now, cpu.busy_time, task.cpu_time) == (500, 500, 500)
+
+
+def test_task_made_ready_during_clock_charge_pins_its_end(engine, cpu):
+    other = object()
+
+    def charger():
+        yield clock_charge(300)
+
+    def idle():
+        yield sleep(100)
+
+    cpu.spawn(charger)
+    engine.run(until=50)
+    cpu.spawn(idle)  # readied while the clock charge holds the CPU
+    assert engine.next_payload_time(other) == 300
+
+
+def test_yielding_a_non_syscall_is_an_error(engine, cpu):
+    def body():
+        yield 42
+
+    cpu.spawn(body)
+    with pytest.raises(SimulationError, match="yielded 42"):
+        engine.run()
 
 
 def test_daemon_flag_and_live_tasks(engine, cpu):

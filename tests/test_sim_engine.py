@@ -287,6 +287,19 @@ def test_next_payload_time_skims_cancelled_heads():
     assert engine.next_payload_time(cpu) == 30
 
 
+def test_pinned_clock_event_bounds_every_cpu_until_it_is_past():
+    engine = Engine()
+    cpu_a, cpu_b = object(), object()
+    engine.schedule_clock(5, cpu_b, lambda: None)
+    engine.schedule(8, lambda: None)
+    engine.schedule(40, lambda: None)
+    engine.pin_payload(5)
+    assert engine.next_payload_time(cpu_a) == 5
+    engine.step()
+    engine.step()  # t=8: past the pinned event, the pin is dropped
+    assert engine.next_payload_time(cpu_a) == 40
+
+
 # ---------------------------------------------------------------------------
 # step_batch (the PR-8 batched dispatch sweep)
 # ---------------------------------------------------------------------------
