@@ -108,6 +108,10 @@ class Checker:
         # the sync_id -> send_id map learned from SENDOK packets.
         self._rndv: dict[int, tuple[str, int, int]] = {}
         self._sync_to_send: dict[int, int] = {}
+        # Handshakes the FT layer retired (send ids, and the sync ids
+        # learned for them): their straggler packets are expected.
+        self._ft_retired_sends: set[int] = set()
+        self._ft_retired_syncs: set[int] = set()
         # §4.2.3 polling discipline: registered polling-thread tasks.
         self._pollers: dict[Any, str] = {}
         # Reliable transport shadow window:
@@ -119,6 +123,10 @@ class Checker:
         # Fault tolerance: ranks killed by the DeathController, and the
         # base context ids each rank has seen revoked (rank -> set).
         self.dead_ranks: set[int] = set()
+        #: Ranks the failure detector declared dead, killed or not (a
+        #: live rank cut off from every channel is declared dead as
+        #: unreachable): the cluster-wide residue audit exempts them too.
+        self.declared_dead: set[int] = set()
         self._revoked: dict[int, set[int]] = {}
         # One-sided (RMA) shadow state: explicitly pinned regions
         # ((rank, key) -> nbytes), per-(rank, window) fence counts,
@@ -197,11 +205,23 @@ class Checker:
         "MAD_RDMA_DATA_PKT": "MAD_RNDV_PKT",
     }
 
+    def _ft_straggler(self, kind: str, header: Any) -> bool:
+        """A handshake packet of a rendezvous the FT layer retired (an
+        ack the receiver sent after the sender aborted, a data packet
+        whose receive was failed): expected, not a protocol error."""
+        if kind == "MAD_RNDV_PKT":
+            return header.sync_id in self._ft_retired_syncs
+        if kind in ("MAD_SENDOK_PKT", "MAD_REQUEST_PKT"):
+            return header.send_id in self._ft_retired_sends
+        return False
+
     def on_chmad_send(self, src: int, dst: int, header: Any) -> None:
         """A ch_mad packet leaves its origin (once, pre-forwarding)."""
         kind = header.pkt_type.name
         self.packets_seen[kind] = self.packets_seen.get(kind, 0) + 1
         kind = self._RNDV_KIND_ALIASES.get(kind, kind)
+        if self._ft_straggler(kind, header):
+            return
         conn = f"{src}->{dst}"
         if kind == "MAD_REQUEST_PKT":
             if header.send_id in self._rndv:
@@ -249,6 +269,8 @@ class Checker:
         """A ch_mad packet reached its final destination's dispatcher."""
         kind = self._RNDV_KIND_ALIASES.get(header.pkt_type.name,
                                            header.pkt_type.name)
+        if self._ft_straggler(kind, header):
+            return
         if kind == "MAD_REQUEST_PKT":
             entry = self._rndv.get(header.send_id)
             if entry is None or entry[0] != "requested":
@@ -369,6 +391,11 @@ class Checker:
         (finalize skips it) and survivors' references to it must resolve."""
         self.dead_ranks.add(rank)
 
+    def on_rank_declared_dead(self, rank: int) -> None:
+        """The failure detector declared ``rank`` dead: traffic to and
+        from it may legitimately be left in flight at finalize."""
+        self.declared_dead.add(rank)
+
     def on_revoke(self, rank: int, contexts: Any) -> None:
         """``rank`` learned of a revocation covering ``contexts`` (the
         base context id and the hidden collective context)."""
@@ -377,11 +404,17 @@ class Checker:
         for ctx in contexts:
             revoked.add(ctx - (ctx % CONTEXTS_PER_COMM))
 
-    def on_ft_discard(self, rank: int, envelope: Any, send_id: int = 0) -> None:
+    def on_ft_discard(self, rank: int, envelope: Any, send_id: int = 0,
+                      sync_id: int = 0) -> None:
         """The FT layer dropped an arrival (dead source / revoked or
-        failed context) before user code could see it: retire the shadow
-        state so the discard is not reported as a leak."""
+        failed context) before user code could see it, or failed a
+        receive whose rendezvous data was still to come (``sync_id``
+        only): retire the shadow state so the discard is not reported as
+        a leak."""
         self._in_flight.pop(id(envelope), None)
+        if sync_id:
+            send_id = self._sync_to_send.get(sync_id, send_id)
+            self._ft_retired_syncs.add(sync_id)
         self._drop_rndv(send_id)
 
     def on_ft_abort_send(self, rank: int, send_id: int) -> None:
@@ -392,9 +425,11 @@ class Checker:
         if not send_id:
             return
         self._rndv.pop(send_id, None)
+        self._ft_retired_sends.add(send_id)
         for sync_id, mapped in list(self._sync_to_send.items()):
             if mapped == send_id:
                 del self._sync_to_send[sync_id]
+                self._ft_retired_syncs.add(sync_id)
 
     # -- one-sided (RMA) epoch discipline and registration audit -----------
 
@@ -551,12 +586,13 @@ class Checker:
         Shadow state touching a dead rank is exempt: a handshake or an
         in-flight message the death interrupted is the *expected* residue
         of a kill, and the per-rank audits already proved no live request
-        still references the corpse.
+        still references the corpse.  So is state touching a rank the
+        detector declared dead: the session treats it as dead.
         """
+        exempt = self.dead_ranks | self.declared_dead
         live_rndv = {
             send_id: entry for send_id, entry in self._rndv.items()
-            if entry[1] not in self.dead_ranks
-            and entry[2] not in self.dead_ranks
+            if entry[1] not in exempt and entry[2] not in exempt
         }
         if live_rndv:
             send_id, (state, sender, receiver) = next(iter(
@@ -569,7 +605,7 @@ class Checker:
         from repro.mpi.constants import FT_CONTROL_CONTEXT
         live_flight = [
             (key, seq) for _env, key, seq in self._in_flight.values()
-            if key[1] not in self.dead_ranks and key[2] not in self.dead_ranks
+            if key[1] not in exempt and key[2] not in exempt
             and key[0] < FT_CONTROL_CONTEXT
         ]
         if live_flight:

@@ -133,6 +133,9 @@ class FailureDetector:
             ins.emit("ft.peer_death", rank=rank, reason=reason,
                      silent_ns=self.silent_for(rank))
         self.engine.tracer.emit("ft.peer_death", rank=rank, reason=reason)
+        checker = self.engine.checker
+        if checker.enabled:
+            checker.on_rank_declared_dead(rank)
         self._drain_traffic_toward(rank)
         for listener in list(self._listeners):
             self.engine.call_soon(listener, rank)

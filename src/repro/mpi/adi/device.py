@@ -49,8 +49,9 @@ def clone_payload(obj: Any) -> Any:
     """Detach a payload from the sender's buffer (MPI value semantics).
 
     Immutable objects pass through; numpy arrays and general mutables are
-    copied so a receiver can never alias the sender's memory (only
-    observable with ch_self/smp_plug, where no wire intervenes).
+    copied so a receiver can never alias the sender's memory.  Called
+    exactly once per send, by :mod:`repro.mpi.point2point`; the devices
+    and the simulated wire then carry the detached object by reference.
     """
     if obj is None or isinstance(obj, (bytes, str, int, float, bool, complex,
                                        frozenset, tuple)):
@@ -260,14 +261,14 @@ class ProgressEngine:
         """The zero-copy data packet arrived: finish the transaction."""
         if self.ft is not None and self.ft.should_discard(envelope):
             self.sync_registry.pop(sync_id, None)
-            self.ft.note_discard(envelope)
+            self.ft.note_discard(envelope, sync_id=sync_id)
             return
         sync = self.sync_registry.pop(sync_id, None)
         if sync is None:
             if self.ft is not None:
                 # The FT layer drained this sync entry when it failed the
                 # receive; the straggler data packet is expected.
-                self.ft.note_discard(envelope)
+                self.ft.note_discard(envelope, sync_id=sync_id)
                 return
             raise MPIError(f"rendezvous data for unknown sync_id {sync_id}")
         # Zero-copy: the data lands in the user buffer; no memcpy charge

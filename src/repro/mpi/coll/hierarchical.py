@@ -21,8 +21,10 @@ would recurse when a hierarchical algorithm is selected globally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Generator, Mapping
 
 from repro.mpi import collectives as _coll
 from repro.mpi.collectives import _crecv, _csend
@@ -46,9 +48,9 @@ class HierComms:
     #: node index of every communicator rank (locally derived).
     node_of: tuple[int, ...]
     #: node index -> lowest communicator rank on that node (the leader).
-    leader_of_node: dict[int, int]
+    leader_of_node: Mapping[int, int]
     #: node index -> that leader's rank inside leader_comm.
-    leader_index_of_node: dict[int, int]
+    leader_index_of_node: Mapping[int, int]
     #: True when comm ranks fill nodes contiguously, which makes the
     #: node-then-leader reduction order equal the rank order (and the
     #: decomposition safe for non-commutative operators).
@@ -64,17 +66,7 @@ def hier_comms(comm: "Communicator") -> Generator:
     cached = getattr(comm, "_hier_cache", None)
     if cached is not None:
         return cached
-    env = comm.env
-    node_of = tuple(env.node_of_rank[comm._dest_world(r)]
-                    for r in range(comm.size))
-    leader_of_node: dict[int, int] = {}
-    for rank, node in enumerate(node_of):
-        leader_of_node.setdefault(node, rank)
-    leader_ranks = sorted(leader_of_node.values())
-    leader_index_of_node = {node: leader_ranks.index(rank)
-                            for node, rank in leader_of_node.items()}
-    contiguous = all(node_of[i] <= node_of[i + 1]
-                     for i in range(len(node_of) - 1))
+    layout = _node_layout(comm.group.world_ranks, comm.env.node_of_rank)
     node_comm = yield from comm.split_type()
     is_leader = node_comm.rank == 0
     # Leader membership is locally derivable (lowest comm rank per node,
@@ -88,16 +80,52 @@ def hier_comms(comm: "Communicator") -> Generator:
     yield from _coll.barrier(comm)
     context = comm.env.allocate_context()
     if is_leader:
-        leader_comm = Communicator(
-            comm.env,
-            Group([comm._dest_world(r) for r in leader_ranks]),
-            context)
+        leader_comm = Communicator(comm.env, Group(layout.leader_world_ranks),
+                                   context)
     else:
         leader_comm = None
-    cache = HierComms(node_comm, leader_comm, node_of, leader_of_node,
-                      leader_index_of_node, contiguous)
+    cache = HierComms(node_comm, leader_comm, layout.node_of,
+                      layout.leader_of_node, layout.leader_index_of_node,
+                      layout.contiguous)
     comm._hier_cache = cache
     return cache
+
+
+@dataclass(frozen=True)
+class _NodeLayout:
+    """The rank-independent half of :class:`HierComms`."""
+
+    node_of: tuple[int, ...]
+    leader_of_node: Mapping[int, int]
+    leader_index_of_node: Mapping[int, int]
+    leader_world_ranks: tuple[int, ...]
+    contiguous: bool
+
+
+@functools.lru_cache(maxsize=16)
+def _node_layout(world_ranks: tuple[int, ...],
+                 node_of_rank: tuple[int, ...]) -> _NodeLayout:
+    """Node placement of a communicator's members, and its leaders.
+
+    Every rank of the communicator derives the same layout, so it is
+    built once per world and the same read-only objects are handed to
+    every rank, instead of one O(ranks) copy per rank.
+    """
+    node_of = tuple(node_of_rank[w] for w in world_ranks)
+    leader_of_node: dict[int, int] = {}
+    for rank, node in enumerate(node_of):
+        leader_of_node.setdefault(node, rank)
+    leader_ranks = sorted(leader_of_node.values())
+    index_of_rank = {rank: index for index, rank in enumerate(leader_ranks)}
+    return _NodeLayout(
+        node_of=node_of,
+        leader_of_node=MappingProxyType(leader_of_node),
+        leader_index_of_node=MappingProxyType(
+            {node: index_of_rank[rank]
+             for node, rank in leader_of_node.items()}),
+        leader_world_ranks=tuple(world_ranks[r] for r in leader_ranks),
+        contiguous=all(node_of[i] <= node_of[i + 1]
+                       for i in range(len(node_of) - 1)))
 
 
 def bcast_hier(comm: "Communicator", obj: Any, root: int = 0) -> Generator:

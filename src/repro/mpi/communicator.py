@@ -556,9 +556,8 @@ class Communicator:
             return result
         yield from _coll.barrier(self)
         context = self.env.allocate_context()
-        node_of = self.env.node_of_rank
-        world_ranks = [self._dest_world(r) for r in range(self.size)
-                       if node_of[self._dest_world(r)] == self.env.node]
+        node_of, node = self.env.node_of_rank, self.env.node
+        world_ranks = [w for w in self.group.world_ranks if node_of[w] == node]
         return Communicator(self.env, Group(world_ranks), context)
 
     def create(self, group: Group) -> Generator:

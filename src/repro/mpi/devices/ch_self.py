@@ -3,7 +3,9 @@
 Self-messages never leave the process: one memcpy moves the payload from
 the send buffer to the receive buffer (or to the unexpected buffer, plus
 a second copy on the eventual match).  Everything is "eager" — the
-threshold is unbounded, there is nothing to rendezvous with.
+threshold is unbounded, there is nothing to rendezvous with.  The
+payload object arrives already detached from the user's buffer
+(:func:`repro.mpi.point2point.send_impl`), so it is delivered as is.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
+from repro.mpi.adi.device import Device, ProgressEngine
 from repro.mpi.adi.packets import Envelope
 from repro.mpi.adi.rhandle import SendHandle
 from repro.sim.coroutines import charge, wait
@@ -36,7 +38,7 @@ class ChSelfDevice(Device):
         yield charge(SELF_OVERHEAD)
         # The single self-copy; deliver_eager is told not to charge again.
         yield charge(self.progress.memory.copy_cost(envelope.size))
-        yield from self.progress.deliver_eager(envelope, clone_payload(data),
+        yield from self.progress.deliver_eager(envelope, data,
                                                charge_copy=False)
 
     # Rendezvous is never selected by size (the threshold is unbounded),
@@ -53,7 +55,7 @@ class ChSelfDevice(Device):
         sync_id = yield wait(shandle.ack_flag)
         yield charge(self.progress.memory.copy_cost(shandle.envelope.size))
         yield from self.progress.deliver_rndv_data(
-            sync_id, shandle.envelope, clone_payload(shandle.data)
+            sync_id, shandle.envelope, shandle.data
         )
         shandle.flag.set()
 

@@ -6,7 +6,9 @@ through shared-memory FIFOs.
 
 - Eager: sender copies the payload into the FIFO (one memcpy), the
   receiver's smp polling thread copies it out (the progress engine
-  charges that side).
+  charges that side).  The payload object arrives already detached from
+  the user's buffer (:func:`repro.mpi.point2point.send_impl`), so the
+  FIFO carries it as is.
 - Rendezvous (large messages): request/ack through the FIFO, then a
   single direct copy into the user buffer once its address is known.
 
@@ -21,7 +23,7 @@ from typing import Any, Generator
 
 from repro.errors import ConfigurationError, MPIError
 from repro.marcel.polling import PollMode, PollSource, PollingThread
-from repro.mpi.adi.device import Device, ProgressEngine, clone_payload
+from repro.mpi.adi.device import Device, ProgressEngine
 from repro.mpi.adi.packets import Envelope
 from repro.mpi.adi.rhandle import SendHandle
 from repro.sim.coroutines import charge, wait
@@ -118,7 +120,7 @@ class SmpPlugDevice(Device):
         # enqueue cost + copy into the shared FIFO
         yield charge(SMP_OVERHEAD + self.progress.memory.copy_cost(envelope.size))
         self._post_to(dest_world, SmpPacket(SmpKind.EAGER, self.world_rank,
-                                            envelope, clone_payload(data)))
+                                            envelope, data))
 
     def send_rndv(self, dest_world: int, shandle: SendHandle) -> Generator:
         yield charge(SMP_OVERHEAD)
@@ -141,7 +143,7 @@ class SmpPlugDevice(Device):
                      + self.progress.memory.copy_cost(shandle.envelope.size))
         self._post_to(dest_world, SmpPacket(SmpKind.RNDV_DATA, self.world_rank,
                                             shandle.envelope,
-                                            data=clone_payload(shandle.data),
+                                            data=shandle.data,
                                             sync_id=sync_id))
         shandle.flag.set()
 

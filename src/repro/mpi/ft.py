@@ -169,14 +169,15 @@ class FTState:
             return False
         return self._base(ctx) in self.revoked or ctx in self.failed_contexts
 
-    def note_discard(self, envelope: "Envelope", send_id: int = 0) -> None:
+    def note_discard(self, envelope: "Envelope", send_id: int = 0,
+                     sync_id: int = 0) -> None:
         ins = self._ins()
         if ins.enabled:
             ins.count("ft.discards", 1, rank=self.env.rank,
                       source=envelope.source)
         checker = self.engine.checker
         if checker.enabled:
-            checker.on_ft_discard(self.env.rank, envelope, send_id)
+            checker.on_ft_discard(self.env.rank, envelope, send_id, sync_id)
 
     # -- death handling --------------------------------------------------------
 
@@ -264,6 +265,10 @@ class FTState:
             del progress.sync_registry[sync_id]
             self._fail_recv(handle, code, failed_rank)
             failed_ops += 1
+            if checker.enabled:
+                # The sender's data packet may still come (or be in
+                # flight at finalize): retire the handshake with it.
+                checker.on_ft_discard(env.rank, None, sync_id=sync_id)
         if failed_ops and ins.enabled:
             ins.count("ft.ops_failed", failed_ops, rank=env.rank,
                       error="proc-failed" if code == ERR_PROC_FAILED

@@ -23,6 +23,8 @@ class Group:
         if any(r < 0 for r in ranks):
             raise MPIRankError(f"negative world rank in group: {ranks}")
         self.world_ranks = ranks
+        #: Member count (a plain attribute: read on every rank check).
+        self.size = len(ranks)
         #: Lazy world-rank -> group-rank index.  ``rank_of`` runs per
         #: *received message* (status translation), so ``tuple.index``'s
         #: O(size) scan made every receive O(ranks); the dict makes it
@@ -31,10 +33,6 @@ class Group:
         self._index: dict[int, int] | None = None
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.world_ranks)
 
     def _rank_index(self) -> dict[int, int]:
         index = self._index

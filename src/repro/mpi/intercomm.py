@@ -67,7 +67,7 @@ class Intercommunicator(Communicator):
         yield  # pragma: no cover
 
     barrier = bcast = reduce = allreduce = gather = scatter = _no_collectives
-    allgather = alltoall = scan = exscan = _no_collectives
+    allgather = alltoall = scan = exscan = split_type = _no_collectives
 
     def merge(self, high: bool = False) -> Generator:
         """Collective over both groups: fuse into one intracommunicator

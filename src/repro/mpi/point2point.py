@@ -121,7 +121,8 @@ class SendGate:
 def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
               size: int | None, context_id: int,
               synchronous: bool = False,
-              ticket: int | None = None) -> Generator:
+              ticket: int | None = None,
+              detached: bool = False) -> Generator:
     """Blocking send body (also run inside isend's temporary thread).
 
     ``synchronous`` forces the rendezvous protocol regardless of size —
@@ -130,6 +131,10 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
 
     ``ticket`` is an ordering ticket already issued at isend call time;
     blocking sends issue their own on entry.
+
+    The payload is detached from the caller's buffer here, once, unless
+    ``detached`` says the caller (isend) already did: no device copies
+    it again, so every receiver gets exactly one private copy.
     """
     _check_rank(comm, dest, wildcard=False, what="destination")
     _check_tag(tag, wildcard=False)
@@ -148,7 +153,7 @@ def send_impl(comm: "Communicator", data: Any, dest: int, tag: int,
     device = env.select_device(dest_world)
     envelope = Envelope(context_id, env.rank, tag, nbytes,
                         byte_order=env.progress.byte_order)
-    payload = clone_payload(data)
+    payload = data if detached else clone_payload(data)
     if synchronous:
         mode = TransferMode.RENDEZVOUS
     else:
@@ -253,7 +258,8 @@ def isend_impl(comm: "Communicator", data: Any, dest: int, tag: int,
             yield charge(pre_charge)
         try:
             yield from send_impl(comm, payload, dest, tag, size, context_id,
-                                 synchronous=synchronous, ticket=ticket)
+                                 synchronous=synchronous, ticket=ticket,
+                                 detached=True)
         except (MPIProcFailedError, MPIRevokedError) as exc:
             # FT failure inside the worker thread: complete the request
             # and re-raise from the caller's wait()/test().

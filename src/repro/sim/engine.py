@@ -9,18 +9,19 @@ of its inputs.
 Hot-path layout (the per-event cost dominates every benchmark's
 wall-clock, see DESIGN.md "Simulator performance"):
 
-- the heap stores ``(time, seq, event)`` tuples so ``heapq`` compares
-  C-level tuples instead of calling ``Event.__lt__``;
+- a queue entry is a plain tuple ``(time, seq, callback, args)``:
+  ``heapq`` compares C-level tuples (``seq`` is unique, so a comparison
+  never reaches the callback), and a fire-and-forget event — charge
+  completions, sleeper wakes, dispatches, the bulk of all events — is
+  nothing but that tuple.  A cancellable event (:meth:`schedule`) is the
+  entry ``(time, seq, None, event)`` around an :class:`Event` handle.
+  The entry format is private to this module;
 - zero-delay events — overwhelmingly CPU dispatch requests — bypass the
   heap entirely and live in a FIFO deque.  Because an entry's timestamp
   equals the clock when it was appended and the clock cannot pass a
   queued event, the deque is always sorted by ``(time, seq)``;
   ``step_batch`` merely compares the queue heads, preserving the exact
   global ordering a single heap would produce;
-- internal fire-and-forget events (charge completions, sleeper wakes,
-  dispatches) are recycled through a free pool via :meth:`call_soon` /
-  :meth:`schedule_discard`, whose callers promise not to retain the
-  handle;
 - cancellation is lazy (O(1)) with an O(1) live-event counter behind
   :meth:`pending`; when cancelled events outnumber live ones the queues
   are compacted so a cancel-heavy workload (retransmit timers) cannot
@@ -121,25 +122,23 @@ def install_checker(engine: "Engine",
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Engine.schedule`.
+    """A cancellable scheduled callback.  Returned by :meth:`Engine.schedule`.
 
-    Events may be cancelled; a cancelled event stays queued but is
-    skipped when popped (lazy deletion, O(1) cancel).
+    A cancelled event stays queued but is skipped when popped (lazy
+    deletion, O(1) cancel).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_engine",
-                 "_pooled", "_done")
+                 "_done")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
-                 args: tuple, engine: "Engine | None" = None,
-                 pooled: bool = False):
+                 args: tuple, engine: "Engine"):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
         self._engine = engine
-        self._pooled = pooled
         self._done = False
 
     def cancel(self) -> None:
@@ -147,9 +146,7 @@ class Event:
         if self.cancelled or self._done:
             return
         self.cancelled = True
-        engine = self._engine
-        if engine is not None:
-            engine._note_cancel()
+        self._engine._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -159,9 +156,6 @@ class Event:
 #: Compaction is considered once at least this many cancelled events are
 #: queued (tiny queues are not worth rebuilding).
 _COMPACT_MIN = 64
-
-#: Upper bound on the recycled-Event free pool.
-_POOL_MAX = 1024
 
 
 class Engine:
@@ -176,15 +170,15 @@ class Engine:
         self.config = config
         self._now: int = 0
         self._seq: int = 0
-        #: Timed events as (time, seq, Event) heap entries.
-        self._queue: list[tuple[int, int, Event]] = []
-        #: Zero-delay events in FIFO (== (time, seq)) order.
-        self._immediate: deque[Event] = deque()
-        #: Poller self-clock wakes as (time, seq, Event, cpu) heap entries
+        #: Timed entries, a (time, seq) min-heap.
+        self._queue: list[tuple] = []
+        #: Zero-delay entries in FIFO (== (time, seq)) order.
+        self._immediate: deque[tuple] = deque()
+        #: Poller self-clock entries ``(time, seq, callback, args, cpu)``
         #: — same ordering contract, filed apart so
         #: :meth:`next_payload_time` can see past them (one entry per
         #: sleeping periodic poller, so this heap stays tiny).
-        self._clock_queue: list[tuple[int, int, Event, Any]] = []
+        self._clock_queue: list[tuple] = []
         #: Per-CPU mirror of the clock queue's wake times (cpu -> time
         #: min-heap).  :meth:`next_payload_time` used to linear-scan the
         #: clock queue per idle-skip — fine at 2 pollers, O(ranks²) in a
@@ -197,7 +191,8 @@ class Engine:
         self._pinned: list[int] = []
         #: Cancelled events still sitting in either queue.
         self._cancelled: int = 0
-        self._pool: list[Event] = []
+        #: The running sweep's ``stop_flag`` (see :meth:`quiet_now`).
+        self._stop_flag: Any = None
         self._running = False
         #: Number of events executed so far (diagnostic).
         self.events_executed: int = 0
@@ -261,14 +256,7 @@ class Engine:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        time = self._now + int(delay)
-        event = Event(time, self._seq, callback, args, self)
-        self._seq += 1
-        if time == self._now:
-            self._immediate.append(event)
-        else:
-            heapq.heappush(self._queue, (time, event.seq, event))
-        return event
+        return self._file(self._now + int(delay), callback, args)
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
@@ -276,94 +264,67 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self._now}"
             )
-        time = int(time)
-        event = Event(time, self._seq, callback, args, engine=self)
-        self._seq += 1
+        return self._file(int(time), callback, args)
+
+    def _file(self, time: int, callback: Callable[..., Any],
+              args: tuple) -> Event:
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args, self)
         if time == self._now:
-            self._immediate.append(event)
+            self._immediate.append((time, seq, None, event))
         else:
-            heapq.heappush(self._queue, (time, event.seq, event))
+            heapq.heappush(self._queue, (time, seq, None, event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
         """Queue ``callback(*args)`` at the current time (no handle).
 
-        Internal fast path: the event is drawn from the free pool and
-        recycled after it fires, so the caller must not retain it — use
-        :meth:`schedule` when a cancellable handle is needed.  Ordering
-        is identical to ``schedule(0, ...)``.
+        Internal fast path: the entry is a bare tuple, so there is
+        nothing to cancel — use :meth:`schedule` when a cancellable
+        handle is needed.  Ordering is identical to ``schedule(0, ...)``.
         """
-        if self._pool:
-            event = self._pool.pop()
-            event.time = self._now
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(self._now, self._seq, callback, args, engine=self,
-                          pooled=True)
-        self._seq += 1
-        self._immediate.append(event)
+        seq = self._seq
+        self._seq = seq + 1
+        self._immediate.append((self._now, seq, callback, args))
 
     def schedule_discard(self, delay: int, callback: Callable[..., Any],
                          *args: Any) -> None:
         """Schedule a fire-and-forget event ``delay`` ns from now.
 
-        Like :meth:`call_soon` but timed: the Event is pooled and no
-        handle is returned, so the callback site must never need to
-        cancel it.  The CPU scheduler's charge completions and sleeper
-        wakes — the bulk of all timed events — go through here.
+        Like :meth:`call_soon` but timed: no handle is returned, so the
+        callback site must never need to cancel it.  The CPU scheduler's
+        charge completions and sleeper wakes — the bulk of all timed
+        events — go through here.
         """
         if delay <= 0:
             if delay < 0:
                 raise SimulationError(f"cannot schedule {delay} ns in the past")
             self.call_soon(callback, *args)
             return
-        time = self._now + int(delay)
-        if self._pool:
-            event = self._pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(time, self._seq, callback, args, engine=self,
-                          pooled=True)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue,
+                       (self._now + int(delay), seq, callback, args))
 
     def schedule_clock(self, delay: int, cpu: Any,
                        callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a poller self-clock event ``delay`` ns from now.
 
-        Pooled and fire-and-forget like :meth:`schedule_discard`, but
-        filed in the clock queue: the event (the wake after a clock
-        sleep, or the end of a clock charge) belongs to an idle periodic
-        poller on ``cpu`` and touches nothing but that poller, unless
-        :meth:`pin_payload` says otherwise.  Execution order is still
-        exact (time, seq) — :meth:`step_batch` merges all three queues —
-        but :meth:`next_payload_time` can exclude these, which is what
-        lets two idle pollers fast-forward past each other instead of
-        pinning each other awake.
+        Fire-and-forget like :meth:`schedule_discard`, but filed in the
+        clock queue: the event (the wake after a clock sleep, or the end
+        of a clock charge) belongs to an idle periodic poller on ``cpu``
+        and touches nothing but that poller, unless :meth:`pin_payload`
+        says otherwise.  Execution order is still exact (time, seq) —
+        :meth:`step_batch` merges all three queues — but
+        :meth:`next_payload_time` can exclude these, which is what lets
+        two idle pollers fast-forward past each other instead of pinning
+        each other awake.
         """
         time = self._now + int(delay)
-        if self._pool:
-            event = self._pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event._done = False
-        else:
-            event = Event(time, self._seq, callback, args, engine=self,
-                          pooled=True)
-        self._seq += 1
-        heapq.heappush(self._clock_queue, (time, event.seq, event, cpu))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._clock_queue, (time, seq, callback, args, cpu))
         percpu = self._clock_by_cpu.get(cpu)
         if percpu is None:
             percpu = self._clock_by_cpu[cpu] = []
@@ -395,53 +356,35 @@ class Engine:
         a callback must not strand those aliases on a dead snapshot.
         """
         queue = self._queue
-        for entry in queue:
-            event = entry[2]
-            if event.cancelled:
-                self._release(event)
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [entry for entry in queue if not _cancelled(entry)]
         heapq.heapify(queue)
         immediate = self._immediate
-        if any(event.cancelled for event in immediate):
-            keep = [event for event in immediate if not event.cancelled]
-            for event in immediate:
-                if event.cancelled:
-                    self._release(event)
+        if any(_cancelled(entry) for entry in immediate):
+            keep = [entry for entry in immediate if not _cancelled(entry)]
             immediate.clear()
             immediate.extend(keep)
         self._cancelled = 0
 
-    def _release(self, event: Event) -> None:
-        """Return a pooled event to the free list (drop payload refs)."""
-        if event._pooled and len(self._pool) < _POOL_MAX:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            self._pool.append(event)
+    def _skim_cancelled(self) -> None:
+        """Drop cancelled heads, so a peek stays O(1) amortized."""
+        immediate = self._immediate
+        while immediate and _cancelled(immediate[0]):
+            self._cancelled -= 1
+            immediate.popleft()
+        queue = self._queue
+        while queue and _cancelled(queue[0]):
+            self._cancelled -= 1
+            heapq.heappop(queue)
 
     # -- execution --------------------------------------------------------
 
     def next_event_time(self) -> int | None:
-        """Timestamp of the next non-cancelled event, or None if drained.
-
-        Cancelled heads are dropped in passing so the peek stays O(1)
-        amortized.
-        """
-        queue = self._queue
-        immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            self._cancelled -= 1
-            self._release(immediate.popleft())
-        while queue and queue[0][2].cancelled:
-            self._cancelled -= 1
-            self._release(heapq.heappop(queue)[2])
+        """Timestamp of the next non-cancelled event, or None if drained."""
+        self._skim_cancelled()
         best: int | None = None
-        if immediate:
-            best = immediate[0].time
-        if queue and (best is None or queue[0][0] < best):
-            best = queue[0][0]
-        clock = self._clock_queue
-        if clock and (best is None or clock[0][0] < best):
-            best = clock[0][0]
+        for heads in (self._immediate, self._queue, self._clock_queue):
+            if heads and (best is None or heads[0][0] < best):
+                best = heads[0][0]
         return best
 
     def next_payload_time(self, cpu: Any) -> int | None:
@@ -457,17 +400,12 @@ class Engine:
         are pinned ones (:meth:`pin_payload`).  This is the bound the
         idle-poll fast-forward skips to.
         """
+        self._skim_cancelled()
         queue = self._queue
         immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            self._cancelled -= 1
-            self._release(immediate.popleft())
-        while queue and queue[0][2].cancelled:
-            self._cancelled -= 1
-            self._release(heapq.heappop(queue)[2])
         best: int | None = None
         if immediate:
-            best = immediate[0].time
+            best = immediate[0][0]
         if queue and (best is None or queue[0][0] < best):
             best = queue[0][0]
         # O(1) per-CPU peek via the clock-queue mirror (an idle 1024-rank
@@ -486,13 +424,19 @@ class Engine:
         return best
 
     def quiet_now(self) -> bool:
-        """True iff no pending event is due at the current time.
+        """True iff no pending event is due at the current time and the
+        running sweep will go on to execute the next event.
 
         This is the legality test for inline dispatch: when the engine
         is quiet *now*, running a ready task immediately is
         indistinguishable from scheduling a zero-delay dispatch event,
         because that event would be the unique next thing to execute.
+        Once the sweep's ``stop_flag`` is up, no next event executes
+        before the caller tears the world down, so nothing is quiet.
         """
+        stop = self._stop_flag
+        if stop is not None and stop[0]:
+            return False
         t = self.next_event_time()
         return t is None or t > self._now
 
@@ -524,90 +468,91 @@ class Engine:
         queue = self._queue
         immediate = self._immediate
         clock = self._clock_queue
-        pool = self._pool
+        heappop = heapq.heappop
         executed = 0
+        self._stop_flag = stop_flag
         check_stop = stop_flag is not None
-        while executed < limit:
-            if check_stop and stop_flag[0]:
-                break
-            # Three-way (time, seq) merge of the queue heads; src tracks
-            # which structure currently holds the minimum.
-            src = 0
-            if immediate:
-                head_event = immediate[0]
-                time = head_event.time
-                seq = head_event.seq
-                src = 1
-            if queue:
-                head = queue[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    time = head[0]
-                    seq = head[1]
-                    src = 2
-            if clock:
-                head = clock[0]
-                if src == 0 or head[0] < time or (head[0] == time
-                                                  and head[1] < seq):
-                    src = 3
-            if src == 0:
-                break
-            if src == 1:
-                event = immediate.popleft()
-            elif src == 2:
-                event = heapq.heappop(queue)[2]
-            else:
-                entry = heapq.heappop(clock)
-                event = entry[2]
-                # Keep the per-CPU mirror in sync: a CPU's clock entries
-                # pop in its own (time, seq) order, so the global pop's
-                # time is that CPU's minimum.
-                heapq.heappop(self._clock_by_cpu[entry[3]])
-            if event.cancelled:
-                self._cancelled -= 1
-                self._release(event)
-                continue
-            # Marked done on pop: a cancel() arriving while (or after) the
-            # callback runs must not touch the queued-cancelled counter.
-            event._done = True
-            now = event.time
-            self._now = now
-            self.events_executed += 1
-            event.callback(*event.args)
-            if event._pooled and len(pool) < _POOL_MAX:
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
-                pool.append(event)
-            executed += 1
-            # Same-timestamp sweep: while neither timed heap holds an
-            # entry due *now*, every deque head at `now` is the global
-            # (time, seq) minimum (new zero-delay events always append
-            # with larger seq; heap pushes from callbacks land strictly
-            # later than `now` or in the deque).  The heap-head checks
-            # re-run per event because a callback may schedule_clock(0)
-            # or leave a same-time heap entry behind.
-            while immediate and executed < limit:
-                event = immediate[0]
-                if event.time != now:
-                    break
-                if (queue and queue[0][0] == now) or \
-                        (clock and clock[0][0] == now):
-                    break
+        try:
+            while executed < limit:
                 if check_stop and stop_flag[0]:
-                    return executed
-                immediate.popleft()
-                if event.cancelled:
-                    self._cancelled -= 1
-                    self._release(event)
-                    continue
-                event._done = True
-                self.events_executed += 1
-                event.callback(*event.args)
-                if event._pooled and len(pool) < _POOL_MAX:
-                    event.callback = None  # type: ignore[assignment]
-                    event.args = ()
-                    pool.append(event)
+                    break
+                # Three-way (time, seq) merge of the queue heads: entries
+                # compare as tuples, and seq is unique, so the comparison
+                # never looks past the first two fields.
+                src = 0
+                if immediate:
+                    entry = immediate[0]
+                    src = 1
+                if queue:
+                    head = queue[0]
+                    if src == 0 or head < entry:
+                        entry = head
+                        src = 2
+                if clock:
+                    head = clock[0]
+                    if src == 0 or head < entry:
+                        entry = head
+                        src = 3
+                if src == 1:
+                    immediate.popleft()
+                elif src == 2:
+                    heappop(queue)
+                elif src == 3:
+                    heappop(clock)
+                    # Keep the per-CPU mirror in sync: a CPU's clock
+                    # entries pop in its own (time, seq) order, so the
+                    # global head's time is that CPU's minimum.
+                    heappop(self._clock_by_cpu[entry[4]])
+                else:
+                    break
+                callback = entry[2]
+                if callback is None:
+                    event = entry[3]
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    # Marked done on pop: a cancel() arriving while (or
+                    # after) the callback runs must not touch the
+                    # queued-cancelled counter.
+                    event._done = True
+                    callback = event.callback
+                    args = event.args
+                else:
+                    args = entry[3]
+                now = entry[0]
+                self._now = now
                 executed += 1
+                callback(*args)
+                # Same-timestamp sweep: while neither timed heap holds an
+                # entry due *now*, every deque head is the global (time,
+                # seq) minimum (new zero-delay entries always append with
+                # larger seq at the current time; heap pushes from
+                # callbacks land strictly later than `now` or in the
+                # deque).  The heap-head checks re-run per event because a
+                # callback may schedule_clock(0) or leave a same-time heap
+                # entry behind.
+                while immediate and executed < limit:
+                    if (queue and queue[0][0] == now) or \
+                            (clock and clock[0][0] == now):
+                        break
+                    if check_stop and stop_flag[0]:
+                        return executed
+                    entry = immediate.popleft()
+                    callback = entry[2]
+                    if callback is None:
+                        event = entry[3]
+                        if event.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        event._done = True
+                        callback = event.callback
+                        args = event.args
+                    else:
+                        args = entry[3]
+                    executed += 1
+                    callback(*args)
+        finally:
+            self.events_executed += executed
         return executed
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
@@ -653,3 +598,8 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self._now} pending={self.pending()}>"
+
+
+def _cancelled(entry: tuple) -> bool:
+    """True for the entry of a cancelled :class:`Event`."""
+    return entry[2] is None and entry[3].cancelled

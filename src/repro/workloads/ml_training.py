@@ -79,11 +79,31 @@ def gradient_buckets(sizes: list[int], bucket_bytes: int) -> list[list[int]]:
     return buckets
 
 
-def _grad(count: int, rank: int, step: int, bucket: int) -> np.ndarray:
+#: The gradient pattern's period and stride.  31 is invertible mod 1001
+#: (1001 = 7 * 11 * 13), so ``(31 * i + k) % 1001`` is the fixed
+#: sequence ``31 * j % 1001`` read from offset ``j = k * 31^-1``.
+_PERIOD, _STRIDE = 1001, 31
+_STRIDE_INVERSE = pow(_STRIDE, -1, _PERIOD)
+
+
+def _grad_tile(count: int) -> np.ndarray:
+    """``31 * j % 1001`` for ``j`` in ``[0, count + 1001)``, read-only:
+    every gradient of up to ``count`` elements is one slice of it."""
+    tile = (np.arange(count + _PERIOD) * _STRIDE % _PERIOD).astype(np.float64)
+    tile.flags.writeable = False
+    return tile
+
+
+def _grad(tile: np.ndarray, count: int, rank: int, step: int,
+          bucket: int) -> np.ndarray:
     """Integer-valued float64 gradient — exact under float summation up
-    to well past 512 ranks, so reduction order cannot matter."""
-    base = np.arange(count, dtype=np.float64)
-    return (base * 31 + rank * 7 + step * 13 + bucket * 3) % 1001.0
+    to well past 512 ranks, so reduction order cannot matter.
+
+    Element ``i`` is ``(31 * i + rank * 7 + step * 13 + bucket * 3) %
+    1001``, copied out of ``tile`` (a :func:`_grad_tile` of at least
+    ``count`` elements)."""
+    offset = (rank * 7 + step * 13 + bucket * 3) * _STRIDE_INVERSE % _PERIOD
+    return tile[offset:offset + count].copy()
 
 
 def _allreduce_gen(comm, data, op, algorithm):
@@ -105,6 +125,8 @@ def _build_ml_training(seed: int, *, ranks: int, processes_per_node: int,
     sizes = model_layers(seed, layers)
     buckets = gradient_buckets(sizes, bucket_kib * 1024)
     model_bytes = sum(sizes)
+    bucket_sizes = [sum(sizes[layer] for layer in bucket) for bucket in buckets]
+    tile = _grad_tile(max(bucket_sizes, default=0) // 8)
 
     def program(mpi):
         comm = mpi.comm_world
@@ -127,10 +149,9 @@ def _build_ml_training(seed: int, *, ranks: int, processes_per_node: int,
             # compute charges — one allreduce in flight at a time.
             pending = None
             reduced = []
-            for index, bucket in enumerate(buckets):
-                bucket_bytes = sum(sizes[layer] for layer in bucket)
+            for index, bucket_bytes in enumerate(bucket_sizes):
                 yield charge(bucket_bytes * compute_ns_per_byte)
-                grad = _grad(bucket_bytes // 8, me, step, index)
+                grad = _grad(tile, bucket_bytes // 8, me, step, index)
                 if not overlap:
                     total = yield from grad_comm.allreduce(
                         grad, SUM, algorithm=algorithm)

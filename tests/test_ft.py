@@ -276,6 +276,80 @@ class TestRareFaultHandlers:
         assert list(world.engine.checker.violations) == []
 
 
+    @staticmethod
+    def _revoke_during_rendezvous(revoke_at):
+        """Rank 0 isends 1 MB to rank 1 over TCP while rank 2 revokes the
+        world at ``revoke_at``; returns the results and the checker's
+        violations."""
+        world = MPIWorld(
+            ClusterConfig(nodes=_nodes(3, networks=("tcp",)), ft=True),
+            engine_config=EngineConfig(checker=True, checker_raise=False))
+        size = 1 << 20
+
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 2:
+                yield sleep(revoke_at)
+                comm.revoke()
+                return None
+            if comm.rank == 0:
+                request = comm.isend(b"x", dest=1, tag=5, size=size)
+            else:
+                request = comm.irecv(source=0, tag=5, size=size)
+            try:
+                yield from request.wait()
+            except MPIRevokedError:
+                return "revoked"
+            return "done"
+
+        results = world.run(program)
+        return results, [str(v) for v in world.engine.checker.violations]
+
+    @pytest.mark.parametrize("revoke_at", [us(0), us(5), us(10)])
+    def test_straggler_sendok_after_early_revoke_is_clean(self, revoke_at):
+        # The revocation aborts the sender's rendezvous before rank 1's
+        # SENDOK goes out.  The device tolerates that straggler ack; the
+        # checker must too, on both its send and its arrival.
+        results, violations = self._revoke_during_rendezvous(revoke_at)
+        assert results == ["revoked", "revoked", None]
+        assert violations == []
+
+    @pytest.mark.parametrize("revoke_at", [us(60), us(100)])
+    def test_rndv_data_outliving_a_revoked_receive_is_clean(self, revoke_at):
+        # Rank 1's receive is failed by the revocation after it acked;
+        # rank 0 still ships the data packet, which is in flight at
+        # finalize.  Failing the receive retires the handshake, so it is
+        # not reported as left in state 'data-sent'.
+        results, violations = self._revoke_during_rendezvous(revoke_at)
+        assert results == ["done", "revoked", None]
+        assert violations == []
+
+    def test_traffic_of_a_live_rank_declared_dead_is_not_a_leak(self):
+        # Rank 0's NIC never transmits: its eager send goes nowhere and
+        # the detector declares each rank dead as unreachable, though
+        # neither was killed.  The unmatched message is residue of that
+        # verdict, not a finalize leak.
+        plan = FaultPlan(fabrics={"sisci": FabricFaults(
+            downs=(LinkDown(at=0, adapters=(0,)),))})
+        world = MPIWorld(
+            ClusterConfig(nodes=_nodes(2, networks=("sisci",)),
+                          fault_plan=plan, ft=True),
+            engine_config=EngineConfig(checker=True, checker_raise=False))
+
+        def program(mpi):
+            comm = mpi.comm_world
+            if comm.rank == 0:
+                yield from comm.send(b"x", dest=1, tag=5, size=64)
+                return "sent"
+            yield sleep(ms(60))
+            return None
+
+        assert world.run(program) == ["sent", None]
+        assert world.session.detector.dead_ranks == {0, 1}
+        assert world.engine.checker.dead_ranks == set()
+        assert list(world.engine.checker.violations) == []
+
+
 # -- negative plants: the FT invariants must actually fire ----------------
 
 

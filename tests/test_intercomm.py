@@ -101,6 +101,19 @@ class TestIntercommP2P:
 
         run_ranks(program, nranks=4)
 
+    def test_split_type_rejected(self):
+        # split_type derives node-local groups from the local group's
+        # world ranks; an intercommunicator's point-to-point ranks name
+        # the remote group, so it refuses like its other collectives.
+        def program(mpi):
+            local, inter, _ = yield from split_and_join(mpi, 2)
+            with pytest.raises(MPICommError, match="merge"):
+                yield from inter.split_type()
+            yield from mpi.comm_world.barrier()
+            return None
+
+        run_ranks(program, nranks=4)
+
 
 class TestMerge:
     def test_merge_produces_working_intracomm(self):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import DeadlockError, MPIRankError, MPITagError, MPITruncationError
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
-from tests.helpers import run_ranks
+from repro.cluster import ClusterConfig, NodeSpec
+from tests.helpers import linear_cluster, run_ranks, run_world
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -332,6 +333,58 @@ class TestEdgeCases:
             return list(map(int, data))
 
         assert run_ranks(program)[1] == [1, 1, 1, 1]
+
+
+class _CountedCopies(np.ndarray):
+    """An array that counts how often it (or a copy of it) is copied."""
+
+    copies = 0
+
+    def copy(self, *args, **kwargs):
+        type(self).copies += 1
+        return super().copy(*args, **kwargs)
+
+
+class TestOnePayloadCopyPerSend:
+    """Value semantics cost exactly one detach per send, whatever the
+    device: ch_mad (two nodes), smp_plug (one node, two processes) or
+    ch_self (a rank sending to itself)."""
+
+    @staticmethod
+    def _world(device):
+        if device == "smp_plug":
+            return ClusterConfig(nodes=[NodeSpec("n0", networks=("sisci",),
+                                                 processes=2)])
+        return linear_cluster(2)
+
+    @pytest.mark.parametrize("device", ["ch_mad", "smp_plug", "ch_self"])
+    @pytest.mark.parametrize("size", [64, 1 << 20])  # eager, rendezvous
+    def test_each_send_detaches_once(self, monkeypatch, device, size):
+        monkeypatch.setattr(_CountedCopies, "copies", 0)
+        dest = {"ch_self": 0}.get(device, 1)
+
+        def program(mpi):
+            comm = mpi.comm_world
+            received = []
+            if comm.rank == 0:
+                buf = np.ones(4).view(_CountedCopies)
+                request = comm.isend(buf, dest=dest, tag=1, size=size)
+                buf[:] = 7  # the isend already detached its payload
+                yield from comm.send(buf, dest=dest, tag=2, size=size)
+                if dest == 0:
+                    for tag in (1, 2):
+                        data, _ = yield from comm.recv(source=0, tag=tag)
+                        received.append(float(data[0]))
+                yield from request.wait()
+            elif dest == 1:
+                for tag in (1, 2):
+                    data, _ = yield from comm.recv(source=0, tag=tag)
+                    received.append(float(data[0]))
+            return received
+
+        results = run_world(program, self._world(device))
+        assert results[dest] == [1.0, 7.0]
+        assert _CountedCopies.copies == 2
 
 
 class TestBufferAPI:

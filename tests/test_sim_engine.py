@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -169,7 +171,7 @@ def test_run_is_not_reentrant():
     assert len(failure) == 1
 
 
-# -- hot-path machinery: immediate queue, pooling, clock queue -------------
+# -- hot-path machinery: immediate queue, tuple entries, clock queue ------
 
 
 def test_call_soon_interleaves_fifo_with_zero_delay_schedule():
@@ -204,25 +206,37 @@ def test_schedule_discard_rejects_negative_delay():
         Engine().schedule_discard(-1, lambda: None)
 
 
-def test_pooled_events_are_recycled():
+def test_fired_events_leave_no_engine_state():
+    """Fire-and-forget events are plain queue entries: once they (and a
+    cancelled handle) are gone, the engine holds nothing for them."""
+    class Payload:
+        pass
+
     engine = Engine()
-    engine.schedule_discard(1, lambda: None)
+    cpu = object()
+    payload = Payload()
+    alive = weakref.ref(payload)
+    engine.call_soon(lambda obj: None, payload)
+    engine.schedule_discard(1, lambda obj: None, payload)
+    engine.schedule_clock(2, cpu, lambda obj: None, payload)
+    engine.schedule(3, lambda obj: None, payload)
+    engine.schedule(4, lambda obj: None, payload).cancel()
+    del payload
     engine.run()
-    assert len(engine._pool) == 1
-    recycled = engine._pool[0]
-    engine.schedule_discard(1, lambda: None)
-    assert not engine._pool
-    engine.run()
-    assert engine._pool[0] is recycled
+    assert engine.pending() == 0
+    assert engine.events_executed == 4
+    assert not engine._queue and not engine._immediate
+    assert not engine._clock_queue and engine._clock_by_cpu == {cpu: []}
+    assert engine._cancelled == 0
+    assert alive() is None, "a fired event still references its args"
 
 
 def test_public_schedule_handles_are_never_pooled():
-    """schedule() returns a cancellable handle; recycling it would let a
-    stale cancel() kill an unrelated future event."""
+    """schedule() returns a cancellable handle; a stale cancel() on it
+    must never reach an unrelated future event."""
     engine = Engine()
     event = engine.schedule(1, lambda: None)
     engine.run()
-    assert not engine._pool
     event.cancel()  # after execution: must be a no-op
     engine.schedule(1, lambda: None)
     assert engine.pending() == 1

@@ -13,6 +13,8 @@ Covers the PR's API contract:
   gradients.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.runner import JobSpec, Runner
 from repro.workloads import Param, Workload
 from repro.workloads.ml_training import (
     _grad,
+    _grad_tile,
     gradient_buckets,
     model_layers,
 )
@@ -177,12 +180,33 @@ def test_ml_training_hier_matches_flat_element_for_element():
 
     def program(mpi):
         comm = mpi.comm_world
-        grad = _grad(bucket_bytes // 8, comm.rank, step=0, bucket=0)
+        count = bucket_bytes // 8
+        grad = _grad(_grad_tile(count), count, comm.rank, step=0, bucket=0)
         via_hier = yield from hier_fn(comm, grad, SUM)
         via_flat = yield from flat_fn(comm, grad, SUM)
         return np.array_equal(np.asarray(via_hier), np.asarray(via_flat))
 
     assert all(run_ranks(program, nranks=4))
+
+
+def _grad_reference(count, rank, step, bucket):
+    """The gradient formula, computed element by element."""
+    base = np.arange(count, dtype=np.float64)
+    return (base * 31 + rank * 7 + step * 13 + bucket * 3) % 1001.0
+
+
+def test_ml_training_gradient_tile_matches_the_formula():
+    draws = random.Random(0)
+    tile = _grad_tile(40_000)
+    for _ in range(2000):
+        count = draws.randrange(40_001)
+        rank, step = draws.randrange(1024), draws.randrange(10)
+        bucket = draws.randrange(200)
+        grad = _grad(tile, count, rank, step, bucket)
+        expected = _grad_reference(count, rank, step, bucket)
+        assert grad.dtype == expected.dtype
+        assert np.array_equal(grad, expected), (count, rank, step, bucket)
+    assert _grad(tile, 5, 0, 0, 0).flags.writeable  # callers own a copy
 
 
 def test_cfd_halo_graph_topology_is_deterministic_too():
